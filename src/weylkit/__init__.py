@@ -29,7 +29,6 @@ from .errors import (
     ParseError,
     SafetyBoundExceeded,
     SingularMatrix,
-    SolveFailed,
     WeylkitError,
     WordMismatch,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "NotFiniteType",
     "SafetyBoundExceeded",
     "NotDivisible",
-    "SolveFailed",
     "NotInvariant",
     "FreenessCheckFailed",
     "BoxExhausted",

@@ -14,7 +14,6 @@ __all__ = [
     "SafetyBoundExceeded",
     "NotDivisible",
     "WordMismatch",
-    "SolveFailed",
     "NotInvariant",
     "FreenessCheckFailed",
     "BoxExhausted",
@@ -45,10 +44,6 @@ class NotDivisible(WeylkitError):
 
 class WordMismatch(InternalInvariantError):
     """Two reduced words of one group element gave different operator values."""
-
-
-class SolveFailed(WeylkitError):
-    """A linear system that must be solvable exactly was not."""
 
 
 class NotInvariant(WeylkitError):

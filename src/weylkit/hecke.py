@@ -3,10 +3,12 @@
 Every operator built from divided differences, reflections, and
 multiplications is R(G)-linear, and the family {partial_w : w in W} is a free
 R(T)-basis for those operators. to_basis computes the coordinates u_w of an
-operator expression in that basis by evaluating both sides on the Steinberg
-basis of R(T) and solving the resulting |W| x |W| system exactly over the
-fraction field of R(T), then clearing denominators (which must succeed; any
-failure indicates a bug upstream, not bad input).
+operator expression in that basis by rewriting alone: composing delta_j on
+the left of m_u o partial_w follows the twisted Leibniz rule
+delta_j o m_u = m_{s_j u} o delta_j + m_{delta'_j u} and the 0-Hecke rule
+delta_j o partial_w = partial_{s_j w} if l(s_j w) > l(w), else partial_w;
+s_j and delta'_j are R(T)-combinations of 1 and delta_j. Each coefficient is
+computed with ring operations only, so the result is exact by construction.
 
 The augmentation ideal is the annihilator of 1; membership is the vanishing
 of the coefficient sum because every partial_w sends 1 to 1. Invariance of an
@@ -18,13 +20,10 @@ exactly the delta'_j themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Iterator, Mapping
 
-from .charring import CharElt, divide_exact_general, weyl_act_simple
-from .demazure import delta, delta_prime, partial, top
-from .errors import NotDivisible, SolveFailed
-from .repring import steinberg_basis
+from .charring import CharElt, monomial, weyl_act_simple
+from .demazure import _along_words, delta, delta_prime, partial, top
 from .rootdata import RootDatum
 from .weyl import WeylElt, weyl_group
 
@@ -171,117 +170,67 @@ def apply(datum: RootDatum, op: "HeckeOp | OpExpr", u: CharElt, strict: bool | N
     return op.apply(datum, u, strict=strict)
 
 
-def _content(u: CharElt) -> int:
-    g = 0
-    for _, c in u.items():
-        g = gcd(g, c)
-        if g == 1:
-            return 1
-    return g
+def _combine(*terms: tuple[CharElt, HeckeOp]) -> HeckeOp:
+    """The sum of m_v o op over the given (v, op) pairs."""
+    out: dict[WeylElt, CharElt] = {}
+    zero = CharElt.zero()
+    for v, op in terms:
+        for w, u in op._coeffs.items():
+            out[w] = out.get(w, zero) + v * u
+    return HeckeOp(out)
 
 
-def _div_int(u: CharElt, g: int) -> CharElt:
-    if g == 1:
-        return u
-    return CharElt._raw({k: c // g for k, c in u.items()})
+def _delta_left(datum: RootDatum, j: int, op: HeckeOp) -> HeckeOp:
+    """delta_j o op, by the twisted Leibniz and 0-Hecke rules."""
+    group = weyl_group(datum)
+    s = group.simple(j)
+    zero = CharElt.zero()
+    out: dict[WeylElt, CharElt] = {}
+    for w, u in op._coeffs.items():
+        sw = group.multiply(s, w)
+        up = sw if sw.length > w.length else w
+        out[up] = out.get(up, zero) + weyl_act_simple(datum, j, u)
+        out[w] = out.get(w, zero) + delta_prime(datum, j, u)
+    return HeckeOp(out)
 
 
-class _Frac:
-    """A quotient of CharElts, normalized by integer content and by the sign
-    of the denominator's lexicographically largest term. Not reduced to
-    lowest terms; content normalization is enough to keep the solve small."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: CharElt, den: CharElt):
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num = num
-            self.den = CharElt.one(len(next(iter(den.support()))))
-            return
-        g = gcd(_content(num), _content(den))
-        if g > 1:
-            num = _div_int(num, g)
-            den = _div_int(den, g)
-        if den.coefficient(max(den.support())) < 0:
-            num = -num
-            den = -den
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def of(cls, u: CharElt, rank: int) -> "_Frac":
-        return cls(u, CharElt.one(rank))
-
-    def weight(self) -> int:
-        return len(self.num) + len(self.den)
-
-    def add(self, other: "_Frac") -> "_Frac":
-        return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def sub(self, other: "_Frac") -> "_Frac":
-        return _Frac(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def mul(self, other: "_Frac") -> "_Frac":
-        if not self.num or not other.num:
-            return _Frac(CharElt.zero(), self.den)
-        return _Frac(self.num * other.num, self.den * other.den)
-
-    def div(self, other: "_Frac") -> "_Frac":
-        if not other.num:
-            raise ZeroDivisionError("division by zero fraction")
-        return _Frac(self.num * other.den, self.den * other.num)
+def _compose_left(datum: RootDatum, atom: OpAtom, op: HeckeOp, strict: bool | None) -> HeckeOp:
+    """atom o op, written again in the partial_w basis."""
+    if atom.kind == "m":
+        assert atom.elt is not None
+        return _combine((atom.elt, op))
+    if atom.kind == "top":
+        w0 = weyl_group(datum).longest
+        return _along_words(datum, w0, op, _delta_left, strict)
+    if atom.kind == "d":
+        return _delta_left(datum, atom.index, op)
+    if atom.kind in ("w", "dp"):
+        j = atom.index
+        d_op = _delta_left(datum, j, op)
+        e_alpha = monomial(datum.simple_root(j).weight_coords)
+        if atom.kind == "w":
+            return _combine((e_alpha, op), (CharElt.one(datum.rank) - e_alpha, d_op))
+        return _combine((e_alpha, d_op), (-e_alpha, op))
+    raise ValueError(f"unknown operator atom {atom.kind!r}")
 
 
 def to_basis(datum: RootDatum, op: OpExpr, strict: bool | None = None) -> HeckeOp:
     """Coordinates of an operator expression in the divided-difference basis.
 
-    Both sides of op = sum u_w partial_w are R(G)-linear, so equality on the
-    Steinberg basis elements determines the u_w. Raises SolveFailed when the
-    system is singular or a coordinate fails to clear its denominator; either
-    means the free-basis guarantees were violated.
+    The atoms are composed on the left of the identity partial_e, rightmost
+    first, and each product is rewritten at once into sum u_w partial_w:
+    m_v multiplies every u_w by v; delta_j follows the twisted Leibniz and
+    0-Hecke rules of the module docstring; s_j is
+    m_{e^alpha_j} - m_{e^alpha_j - 1} o delta_j; delta'_j is
+    m_{e^alpha_j} o delta_j - m_{e^alpha_j}; top composes delta_j along a
+    reduced word of the longest element. Only ring operations are used, so
+    nothing is solved. In strict mode top is composed along every reduced
+    word and the results compared, raising WordMismatch on a disagreement.
     """
-    group = weyl_group(datum)
-    basis = steinberg_basis(datum)
-    elements = group.elements
-    n = len(elements)
-    rank = datum.rank
-    rows: list[list[_Frac]] = []
-    rhs: list[_Frac] = []
-    for _, lam in basis.items():
-        e_v = CharElt._raw({lam: 1})
-        rows.append([_Frac.of(partial(datum, w, e_v, strict=strict), rank) for w in elements])
-        rhs.append(_Frac.of(op.apply(datum, e_v, strict=strict), rank))
-    used = [False] * n
-    pivot_row: dict[int, int] = {}
-    for col in range(n):
-        cand = [i for i in range(n) if not used[i] and rows[i][col].num]
-        if not cand:
-            raise SolveFailed("singular evaluation matrix; basis is not free")
-        i = min(cand, key=lambda r: rows[r][col].weight())
-        used[i] = True
-        pivot_row[col] = i
-        pv = rows[i][col]
-        rows[i] = [e.div(pv) for e in rows[i]]
-        rhs[i] = rhs[i].div(pv)
-        for r in range(n):
-            if r != i and rows[r][col].num:
-                f = rows[r][col]
-                rows[r] = [a.sub(f.mul(b)) for a, b in zip(rows[r], rows[i])]
-                rhs[r] = rhs[r].sub(f.mul(rhs[i]))
-    coeffs: dict[WeylElt, CharElt] = {}
-    for col, w in enumerate(elements):
-        x = rhs[pivot_row[col]]
-        if not x.num:
-            continue
-        try:
-            coeffs[w] = divide_exact_general(x.num, x.den)
-        except NotDivisible as exc:
-            raise SolveFailed(
-                f"coordinate of {w!r} does not lie in the character ring: {exc}"
-            ) from exc
-    return HeckeOp(coeffs)
+    result = HeckeOp({weyl_group(datum).identity: CharElt.one(datum.rank)})
+    for atom in reversed(op.atoms):
+        result = _compose_left(datum, atom, result, strict)
+    return result
 
 
 def in_augmentation_ideal(datum: RootDatum, op: "HeckeOp | OpExpr") -> bool:

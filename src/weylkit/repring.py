@@ -25,6 +25,7 @@ from .demazure import top
 from .errors import (
     BoxExhausted,
     FreenessCheckFailed,
+    InternalInvariantError,
     NotInvariant,
     SafetyBoundExceeded,
     SingularMatrix,
@@ -127,7 +128,7 @@ def weyl_dimension(datum: RootDatum, weight: Sequence[int]) -> int:
         num *= datum.pairing(shifted, root)
         den *= datum.pairing(datum.weyl_vector, root)
     if num % den:
-        raise SafetyBoundExceeded("Weyl dimension product failed to divide")
+        raise InternalInvariantError("Weyl dimension product failed to divide")
     return num // den
 
 
@@ -244,9 +245,8 @@ def steinberg_basis(
 ) -> SteinbergBasis:
     """Construct the basis; verify freeness on a weight box when requested.
 
-    verify=None verifies automatically for |W| <= 8 (the sizes the rest of
-    the package solves against); larger groups need verify=True explicitly
-    because the verification systems grow quickly.
+    verify=None verifies automatically for |W| <= 8; larger groups need
+    verify=True explicitly because the verification systems grow quickly.
     """
     basis = SteinbergBasis(datum, _steinberg_weights(datum), _FORMULA_TAG)
     seen = {lam for _, lam in basis.weights}

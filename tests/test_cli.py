@@ -1,6 +1,7 @@
 """CLI behaviour: output shapes, schema conformance, exit codes, determinism."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -200,6 +201,23 @@ def test_selftest_runs_clean(capsys):
     assert last.startswith("all suites passed (") and last.endswith(" checks)")
     assert "A1 covers: ok" in out
     assert "ms" in err  # timings go to the diagnostic stream only
+
+
+def test_selftest_checks_survive_python_optimize():
+    # python -O strips assert statements; a sabotaged suite must still fail
+    src = str(Path(weylkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys\n"
+        "import weylkit.selftest as selftest\n"
+        "selftest.weyl_dimension = lambda datum, weight: -1\n"
+        "sys.exit(selftest.run_selftest(['A1']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "A1 rep_ring: FAIL" in proc.stdout
 
 
 def test_selftest_deterministic_for_fixed_seed(capsys):

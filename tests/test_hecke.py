@@ -15,13 +15,15 @@ from weylkit.hecke import (
     is_weyl_invariant,
     to_basis,
 )
-from weylkit.repring import orbit_sum
+from weylkit.repring import orbit_sum, steinberg_basis
 from weylkit.rootdata import build_root_datum
 from weylkit.selftest import random_char_elt
 from weylkit.weyl import weyl_group
 
 A1 = build_root_datum("A1")
 A2 = build_root_datum("A2")
+B3 = build_root_datum("B3")
+D4 = build_root_datum("D4")
 
 
 def random_op_expr(rng, rank, max_len=3):
@@ -57,7 +59,7 @@ def test_rank_one_bare_difference_identity():
     assert to_basis(A1, OpExpr.dp(1)) == expected
 
 
-@pytest.mark.parametrize("name", ["A1", "A2"])
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
 def test_word_operators_are_basis_elements(name):
     datum = build_root_datum(name)
     group = weyl_group(datum)
@@ -78,13 +80,13 @@ def test_braid_words_normalize_identically():
 
 
 def test_top_is_the_longest_basis_element():
-    for datum in (A1, A2):
+    for datum in (A1, A2, B3, D4):
         group = weyl_group(datum)
         expected = HeckeOp({group.longest: CharElt.one(datum.rank)})
         assert to_basis(datum, OpExpr.top()) == expected
 
 
-@pytest.mark.parametrize("name", ["A1", "A2"])
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
 def test_to_basis_round_trips(name):
     datum = build_root_datum(name)
     rng = random.Random(f"hecke:{name}")
@@ -94,6 +96,25 @@ def test_to_basis_round_trips(name):
         for _ in range(3):
             u = random_char_elt(rng, datum.rank, nterms=3, span=2)
             assert apply(datum, op, u) == expr.apply(datum, u)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "B3", "D4"])
+def test_to_basis_certified_on_steinberg_basis(name):
+    # both sides are R(G)-linear and the e_v form an R(G)-basis of R(T), so
+    # agreement on every e_v proves the operators equal; strict evaluation on
+    # all |W| basis elements takes seconds on B3 and far longer on D4
+    datum = build_root_datum(name)
+    strict = None if len(weyl_group(datum)) <= 12 else False
+    rng = random.Random(f"certificate:{name}")
+    exprs = [random_op_expr(rng, datum.rank) for _ in range(2)]
+    e_1 = monomial((1,) + (0,) * (datum.rank - 1))
+    exprs.append(OpExpr.d(datum.rank) * OpExpr.top() * OpExpr.m(e_1))
+    basis = steinberg_basis(datum, verify=False)
+    for expr in exprs:
+        op = to_basis(datum, expr, strict=strict)
+        for w in weyl_group(datum):
+            e_v = basis.element_of(w)
+            assert op.apply(datum, e_v, strict=strict) == expr.apply(datum, e_v, strict=strict)
 
 
 def test_multiplication_atom_coordinates():

@@ -1,0 +1,39 @@
+"""Import layering of the core modules, read from the source with ast."""
+
+import ast
+from pathlib import Path
+
+import weylkit
+
+PACKAGE = Path(weylkit.__file__).parent
+
+# rootdata -> weyl -> charring -> demazure -> {hecke, repring}: a core module
+# may import only core modules of a strictly lower layer
+LAYERS = {"rootdata": 0, "weyl": 1, "charring": 2, "demazure": 3, "hecke": 4, "repring": 4}
+
+
+def package_imports(module: str) -> set[str]:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("weylkit."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1] for alias in node.names if alias.name.startswith("weylkit.")
+            )
+    return found
+
+
+def test_core_modules_import_only_lower_layers():
+    for module, layer in LAYERS.items():
+        for imported in package_imports(module) & LAYERS.keys():
+            assert LAYERS[imported] < layer, f"{module} imports {imported}"
+    # the two top layers are independent of each other
+    assert "repring" not in package_imports("hecke")
+    assert "hecke" not in package_imports("repring")

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from weylkit.charring import CharElt, monomial
-from weylkit.errors import NotInvariant
+from weylkit.errors import InternalInvariantError, NotInvariant
 from weylkit.repring import (
     IrredDecomp,
     decompose_into_irreducibles,
@@ -48,6 +48,22 @@ def test_fundamental_dimensions(name, dims):
         got.append(weyl_dimension(datum, lam))
     assert got == dims
     assert weyl_dimension(datum, (0,) * datum.rank) == 1
+
+
+def test_dimension_that_fails_to_divide_is_an_internal_error():
+    class NonDividingDatum:
+        # one positive root with <rho, a> = 2 and <lambda + rho, a> = 3
+        weyl_vector = (2,)
+        positive_roots = ("a",)
+
+        def is_dominant(self, weight):
+            return True
+
+        def pairing(self, weight, root):
+            return weight[0]
+
+    with pytest.raises(InternalInvariantError):
+        weyl_dimension(NonDividingDatum(), (1,))
 
 
 def test_dimension_known_values():
