@@ -2,9 +2,12 @@
 
 Irreducible characters come out of the longest-element divided difference
 applied to a dominant monomial (with the antisymmetrization quotient as the
-cross-checking route). Decomposition into irreducibles peels the
-lexicographically largest dominant support weight greedily; termination is
-guaranteed because each peel only disturbs dominance-smaller weights.
+cross-checking route). Multiplicities of irreducibles are read off the Weyl
+character formula (Brauer-Klimyk, Bott). With J the alternating sum over W,
+J(e^rho u) = sum c_nu J(e^{nu+rho}) for u = sum c_nu e^nu; each J(e^{nu+rho})
+is 0 when nu+rho is singular and sign(w) J(e^{lambda+rho}) when w(nu+rho) =
+lambda+rho is dominant. Dividing by J(e^rho) gives top(u) = sum c_lambda
+chi_lambda, and top(u) = u for invariant u.
 
 The Steinberg basis {e_w} makes R(T) a free R(G)-module of rank |W|;
 decompose_over_invariants computes coordinates in that basis through an exact
@@ -27,7 +30,6 @@ from .errors import (
     FreenessCheckFailed,
     InternalInvariantError,
     NotInvariant,
-    SafetyBoundExceeded,
     SingularMatrix,
 )
 from .intlinalg import rational_inverse, solve_rational_unique
@@ -47,9 +49,6 @@ __all__ = [
     "decompose_over_invariants",
     "reconstruct_over_invariants",
 ]
-
-_PEEL_CAP = 100_000
-
 
 class IrredDecomp:
     """A finite integer combination of irreducible characters (virtual ok)."""
@@ -161,24 +160,12 @@ def decompose_into_irreducibles(
     datum: RootDatum, u: CharElt, strict: bool | None = None
 ) -> IrredDecomp:
     """Write a Weyl-invariant element as an integer combination of
-    irreducible characters (multiplicities may be negative)."""
+    irreducible characters (multiplicities may be negative). That is
+    induce(u), since top(u) = u; strict has nothing to check here."""
     witness = _invariance_witness(datum, u)
     if witness is not None:
         raise NotInvariant(f"not invariant under s_{witness}")
-    remaining = u
-    out: dict[Weight, int] = {}
-    for _ in range(_PEEL_CAP):
-        if not remaining:
-            entries = {k: v for k, v in out.items() if v}
-            return IrredDecomp(entries)
-        dominants = [mu for mu in remaining.support() if datum.is_dominant(mu)]
-        if not dominants:
-            raise SafetyBoundExceeded("invariant element with no dominant support")
-        lam = max(dominants)
-        c = remaining.coefficient(lam)
-        out[lam] = out.get(lam, 0) + c
-        remaining = remaining - irreducible_character(datum, lam, strict=strict) * c
-    raise SafetyBoundExceeded("irreducible peeling did not terminate")
+    return induce(datum, u)
 
 
 def restrict(datum: RootDatum, decomp: IrredDecomp, strict: bool | None = None) -> CharElt:
@@ -192,8 +179,15 @@ def restrict(datum: RootDatum, decomp: IrredDecomp, strict: bool | None = None) 
 def induce(datum: RootDatum, u: CharElt, strict: bool | None = None) -> IrredDecomp:
     """Pushforward along T -> pt composed with decomposition: the image of u
     under the invariants projector, written in irreducibles. Left inverse of
-    restrict."""
-    return decompose_into_irreducibles(datum, top(datum, u, strict=strict), strict=strict)
+    restrict. The multiplicities are read off J(e^rho u) (module docstring)
+    without computing top(u); strict has nothing to check here."""
+    rho = datum.weyl_vector
+    terms: list[tuple[Weight, int]] = []
+    for nu, c in u.items():
+        lam, count = datum.reflect_to_dominant(tuple(a + r for a, r in zip(nu, rho)))
+        if all(lam):
+            terms.append((tuple(a - r for a, r in zip(lam, rho)), -c if count % 2 else c))
+    return IrredDecomp(terms)
 
 
 def orbit_sum(datum: RootDatum, weight: Sequence[int]) -> CharElt:

@@ -144,15 +144,19 @@ class RootDatum:
 
     def dominant_representative(self, weight: Sequence[int]) -> Weight:
         """The unique dominant weight in the Weyl orbit of the input."""
+        return self.reflect_to_dominant(weight)[0]
+
+    def reflect_to_dominant(self, weight: Sequence[int]) -> tuple[Weight, int]:
+        """The dominant representative and the number of simple reflections taken; (-1)^count is the sign."""
         lam = tuple(weight)
         cap = 16 * (len(self.positive_roots) + 1)
-        for _ in range(cap):
+        for count in range(cap):
             for j in range(1, self.rank + 1):
                 if lam[j - 1] < 0:
                     lam = self.reflect_simple(j, lam)
                     break
             else:
-                return lam
+                return lam, count
         raise SafetyBoundExceeded("dominant-representative loop did not settle")
 
     def two_rho_check(self) -> bool:

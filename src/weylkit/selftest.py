@@ -47,10 +47,10 @@ __all__ = ["run_selftest", "random_char_elt"]
 _SOLVE_MAX_ORDER = 8
 
 
-def _check(condition: bool) -> None:
+def _check(condition: bool, what: str) -> None:
     # an explicit raise, unlike assert, still runs under python -O
     if not condition:
-        raise AssertionError
+        raise AssertionError(what)
 
 
 def random_char_elt(
@@ -66,21 +66,21 @@ def random_char_elt(
 
 def _suite_root_data(datum: RootDatum, rng: random.Random) -> int:
     checks = 0
-    datum.two_rho_check()
+    _check(datum.two_rho_check(), "2 rho == sum of positive roots")
     checks += 1
     for j in range(1, datum.rank + 1):
         coords = datum.simple_root(j).root_coords
-        _check(coords == tuple(int(i == j - 1) for i in range(datum.rank)))
+        _check(coords == tuple(int(i == j - 1) for i in range(datum.rank)), "simple root j has root coordinates e_j")
         checks += 1
     for _ in range(20):
         lam = tuple(rng.randint(-5, 5) for _ in range(datum.rank))
         for root in datum.positive_roots:
             image = datum.reflect(root, lam)
-            _check(datum.reflect(root, image) == lam)
-            _check(datum.pairing(image, root) == -datum.pairing(lam, root))
+            _check(datum.reflect(root, image) == lam, "s_a(s_a(lambda)) == lambda")
+            _check(datum.pairing(image, root) == -datum.pairing(lam, root), "<s_a(lambda), a-check> == -<lambda, a-check>")
         rep = datum.dominant_representative(lam)
-        _check(datum.is_dominant(rep))
-        _check(datum.dominant_representative(rep) == rep)
+        _check(datum.is_dominant(rep), "dominant_representative is dominant")
+        _check(datum.dominant_representative(rep) == rep, "dominant_representative fixes dominant weights")
         checks += 1
     return checks
 
@@ -88,24 +88,24 @@ def _suite_root_data(datum: RootDatum, rng: random.Random) -> int:
 def _suite_weyl_group(datum: RootDatum, rng: random.Random) -> int:
     group = weyl_group(datum)
     checks = 0
-    _check(group.longest.length == len(datum.positive_roots))
-    _check(group.longest.sign == (-1) ** len(datum.positive_roots))
+    _check(group.longest.length == len(datum.positive_roots), "length of w0 == number of positive roots")
+    _check(group.longest.sign == (-1) ** len(datum.positive_roots), "sign of w0 == (-1)^(number of positive roots)")
     checks += 2
     elements = list(group.elements)
     for _ in range(20):
         a, b = rng.choice(elements), rng.choice(elements)
         ab = group.multiply(a, b)
         lam = tuple(rng.randint(-3, 3) for _ in range(datum.rank))
-        _check(ab.act(lam) == a.act(b.act(lam)))
-        _check(group.multiply(a, group.inverse(a)) == group.identity)
+        _check(ab.act(lam) == a.act(b.act(lam)), "(ab)(lambda) == a(b(lambda))")
+        _check(group.multiply(a, group.inverse(a)) == group.identity, "a * a^-1 == identity")
         checks += 1
     for w in rng.sample(elements, min(4, len(elements))):
         for word in group.all_reduced_words(w):
-            _check(len(word) == w.length)
+            _check(len(word) == w.length, "reduced word length == length")
             v = group.identity
             for j in word:
                 v = group.right_descend(v, j)
-            _check(v == w)
+            _check(v == w, "reduced word multiplies to its element")
             checks += 1
     return checks
 
@@ -117,26 +117,26 @@ def _suite_char_ring(datum: RootDatum, rng: random.Random) -> int:
         u = random_char_elt(rng, rank)
         v = random_char_elt(rng, rank)
         w = random_char_elt(rng, rank, nterms=2)
-        _check(u + v == v + u)
-        _check((u + v) * w == u * w + v * w)
-        _check((u * v) * w == u * (v * w))
-        _check(u - u == CharElt.zero())
-        _check(parse_char_expression(str(u), rank) == u)
-        _check(CharElt.from_json(u.to_json()) == u)
+        _check(u + v == v + u, "u + v == v + u")
+        _check((u + v) * w == u * w + v * w, "(u + v) w == u w + v w")
+        _check((u * v) * w == u * (v * w), "(u v) w == u (v w)")
+        _check(u - u == CharElt.zero(), "u - u == 0")
+        _check(parse_char_expression(str(u), rank) == u, "parse(str(u)) == u")
+        _check(CharElt.from_json(u.to_json()) == u, "from_json(to_json(u)) == u")
         checks += 1
     alpha = datum.positive_roots[rng.randrange(len(datum.positive_roots))]
     factor = CharElt.one(rank) - monomial(tuple(-c for c in alpha.weight_coords))
     for _ in range(10):
         u = random_char_elt(rng, rank)
-        _check(divide_exact(u * factor, alpha) == u)
-        _check(divide_exact_general(u * factor, factor) == u)
+        _check(divide_exact(u * factor, alpha) == u, "divide_exact(u (1 - e^-a), a) == u")
+        _check(divide_exact_general(u * factor, factor) == u, "divide_exact_general(u f, f) == u")
         checks += 1
     try:
         divide_exact(CharElt.one(rank), datum.positive_roots[0])
         raise AssertionError("expected NotDivisible")
     except NotDivisible:
         checks += 1
-    _check(antisymmetrize(datum, CharElt.one(rank)) == weyl_denominator(datum))
+    _check(antisymmetrize(datum, CharElt.one(rank)) == weyl_denominator(datum), "antisymmetrize(1) == weyl_denominator")
     checks += 1
     return checks
 
@@ -147,17 +147,17 @@ def _suite_demazure(datum: RootDatum, rng: random.Random) -> int:
     one = CharElt.one(rank)
     checks = 0
     for j in range(1, rank + 1):
-        _check(delta(datum, j, one) == one)
-        _check(delta_prime(datum, j, one) == CharElt.zero())
+        _check(delta(datum, j, one) == one, "delta_j(1) == 1")
+        _check(delta_prime(datum, j, one) == CharElt.zero(), "delta'_j(1) == 0")
         checks += 2
     for _ in range(10):
         u = random_char_elt(rng, rank)
         for j in range(1, rank + 1):
             dj = delta(datum, j, u)
-            _check(delta(datum, j, dj) == dj)
+            _check(delta(datum, j, dj) == dj, "delta_j idempotent")
             pj = delta_prime(datum, j, u)
-            _check(delta_prime(datum, j, pj) == pj)
-            _check(dj == pj + weyl_act_simple(datum, j, u))
+            _check(delta_prime(datum, j, pj) == pj, "delta'_j idempotent")
+            _check(dj == pj + weyl_act_simple(datum, j, u), "delta_j == delta'_j + s_j")
             checks += 3
     for _ in range(5):
         u = random_char_elt(rng, rank, nterms=3, span=2)
@@ -165,14 +165,14 @@ def _suite_demazure(datum: RootDatum, rng: random.Random) -> int:
         partial(datum, w, u, strict=True)  # raises WordMismatch on any word disagreement
         checks += 1
         t = top(datum, u, strict=False, method="both")
-        _check(top(datum, t, strict=False) == t)
+        _check(top(datum, t, strict=False) == t, "top(top(u)) == top(u)")
         checks += 1
         rho = datum.weyl_vector
         erho = monomial(rho)
         erho_inv = monomial(tuple(-c for c in rho))
         from .demazure import partial_prime
 
-        _check(partial_prime(datum, w, u) == erho * partial(datum, w, erho_inv * u))
+        _check(partial_prime(datum, w, u) == erho * partial(datum, w, erho_inv * u), "partial'_w(u) == e^rho partial_w(e^-rho u)")
         checks += 1
     return checks
 
@@ -184,14 +184,14 @@ def _suite_hecke(datum: RootDatum, rng: random.Random) -> int:
         u = random_char_elt(rng, rank)
         ideal_ok, _ = is_ideal_invariant(datum, u)
         weyl_ok, _ = is_weyl_invariant(datum, u)
-        _check(ideal_ok == weyl_ok)
+        _check(ideal_ok == weyl_ok, "ideal invariance == Weyl invariance")
         checks += 1
     inv = orbit_sum(datum, tuple(rng.randint(0, 2) for _ in range(rank)))
     ok, witness = is_ideal_invariant(datum, inv)
-    _check(ok and witness is None)
+    _check(ok and witness is None, "orbit sum is ideal invariant")
     checks += 1
-    _check(in_augmentation_ideal(datum, OpExpr.dp(1)))
-    _check(not in_augmentation_ideal(datum, OpExpr.d(1)))
+    _check(in_augmentation_ideal(datum, OpExpr.dp(1)), "dp[1] in augmentation ideal")
+    _check(not in_augmentation_ideal(datum, OpExpr.d(1)), "d[1] not in augmentation ideal")
     checks += 2
     for _ in range(3):
         kinds = [rng.choice(["d", "dp", "w", "m"]) for _ in range(rng.randint(1, 3))]
@@ -206,7 +206,7 @@ def _suite_hecke(datum: RootDatum, rng: random.Random) -> int:
         op = to_basis(datum, expr, strict=False)
         for _ in range(2):
             u = random_char_elt(rng, rank, nterms=3, span=2)
-            _check(hecke_apply(datum, op, u, strict=False) == expr.apply(datum, u, strict=False))
+            _check(hecke_apply(datum, op, u, strict=False) == expr.apply(datum, u, strict=False), "to_basis(expr) acts as expr")
             checks += 1
     return checks
 
@@ -218,20 +218,21 @@ def _suite_rep_ring(datum: RootDatum, rng: random.Random) -> int:
 
     for lam in iproduct(range(2), repeat=rank):
         ch = irreducible_character(datum, lam, strict=False, method="both")
-        _check(sum(c for _, c in ch.items()) == weyl_dimension(datum, lam))
+        _check(sum(c for _, c in ch.items()) == weyl_dimension(datum, lam), "coefficient sum == weyl_dimension")
         checks += 1
     a = irreducible_character(datum, tuple(rng.randint(0, 1) for _ in range(rank)), strict=False)
     b = irreducible_character(datum, tuple(rng.randint(0, 1) for _ in range(rank)), strict=False)
     dec = decompose_into_irreducibles(datum, a * b, strict=False)
-    _check(restrict(datum, dec, strict=False) == a * b)
-    _check(induce(datum, a * b, strict=False) == dec)
+    _check(restrict(datum, dec, strict=False) == a * b, "restrict(decompose(a b)) == a b")
+    u = random_char_elt(rng, rank, nterms=3, span=2)  # not invariant: Bott's identity vs Demazure
+    _check(induce(datum, u) == decompose_into_irreducibles(datum, top(datum, u, strict=False)), "induce(u) == decompose(top(u))")
     checks += 2
     if len(weyl_group(datum)) <= _SOLVE_MAX_ORDER:
         basis = steinberg_basis(datum)
         for _ in range(3):
             u = random_char_elt(rng, rank, nterms=2, span=1)
             coords = decompose_over_invariants(datum, u, basis)
-            _check(reconstruct_over_invariants(datum, coords, basis) == u)
+            _check(reconstruct_over_invariants(datum, coords, basis) == u, "reconstruct(decompose_over_invariants(u)) == u")
             checks += 1
     return checks
 
@@ -250,16 +251,16 @@ def _suite_covers(datum: RootDatum, rng: random.Random) -> int:
         matrices = [diag, upper]
     for mat in matrices:
         cover = build_cover(mat)
-        _check(len(cover.coset_reps) == cover.index)
-        _check(cover.coset_reps[0] == (0,) * rank)
+        _check(len(cover.coset_reps) == cover.index, "number of coset reps == index")
+        _check(cover.coset_reps[0] == (0,) * rank, "first coset rep == 0")
         checks += 1
         for _ in range(10):
             u = random_char_elt(rng, rank, nterms=4, span=4)
             parts = decompose_cover(cover, u)
-            _check(reconstruct_cover(cover, parts) == u)
+            _check(reconstruct_cover(cover, parts) == u, "reconstruct_cover(decompose_cover(u)) == u")
             lifted = decompose_cover(cover, pullback(cover, u))
-            _check(lifted[(0,) * rank] == u)
-            _check(all(not lifted[rep] for rep in cover.coset_reps[1:]))
+            _check(lifted[(0,) * rank] == u, "pullback lands in the trivial coset part")
+            _check(all(not lifted[rep] for rep in cover.coset_reps[1:]), "pullback has no other coset parts")
             checks += 1
     return checks
 

@@ -217,7 +217,7 @@ def test_selftest_checks_survive_python_optimize():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=300
     )
     assert proc.returncode == 1, proc.stderr
-    assert "A1 rep_ring: FAIL" in proc.stdout
+    assert "A1 rep_ring: FAIL (AssertionError: coefficient sum == weyl_dimension)" in proc.stdout
 
 
 def test_selftest_deterministic_for_fixed_seed(capsys):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from weylkit.charring import CharElt, monomial
+from weylkit.demazure import top
 from weylkit.errors import InternalInvariantError, NotInvariant
 from weylkit.repring import (
     IrredDecomp,
@@ -145,6 +146,82 @@ def test_restrict_induce_round_trip():
             dec = decompose_into_irreducibles(datum, product)
             assert restrict(datum, dec) == product
             assert induce(datum, product) == dec
+
+
+READ_OFF_GROUPS = ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D4"]
+
+
+def _strict_for(datum):
+    # strict top on D4 composes all 2316 reduced words of w0 per call (minutes)
+    return datum.rank <= 3
+
+
+def _dominant_weights(rng, rank, hi, count):
+    return {tuple(rng.randint(0, hi) for _ in range(rank)) for _ in range(count)}
+
+
+@pytest.mark.parametrize("name", READ_OFF_GROUPS)
+def test_decompose_virtual_invariants_restricts_back(name):
+    datum = build_root_datum(name)
+    strict = _strict_for(datum)
+    rng = random.Random(f"read-off:{name}")
+    top_entry = 2 if datum.rank <= 2 else 1
+    for _ in range(3):
+        expected = {
+            lam: rng.choice([-3, -2, -1, 1, 2, 3])
+            for lam in _dominant_weights(rng, datum.rank, top_entry, 4)
+        }
+        u = CharElt.zero()
+        for lam, c in expected.items():
+            u = u + irreducible_character(datum, lam, strict=strict) * c
+        dec = decompose_into_irreducibles(datum, u, strict=strict)
+        assert dec == IrredDecomp(expected)
+        assert restrict(datum, dec, strict=strict) == u
+    # chi_lambda - chi_mu with mu a dominant weight of chi_lambda: the two
+    # characters cancel at every weight of chi_mu
+    lam = (top_entry + 1,) * datum.rank
+    chi = irreducible_character(datum, lam, strict=strict)
+    lower = [mu for mu in chi.support() if datum.is_dominant(mu) and mu != lam]
+    mu = rng.choice(lower)
+    u = chi - irreducible_character(datum, mu, strict=strict)
+    dec = decompose_into_irreducibles(datum, u, strict=strict)
+    assert dec == IrredDecomp({lam: 1, mu: -1})
+    assert restrict(datum, dec, strict=strict) == u
+
+
+@pytest.mark.parametrize("name", READ_OFF_GROUPS)
+def test_induce_is_decomposition_of_top(name):
+    datum = build_root_datum(name)
+    rank = datum.rank
+    rho = datum.weyl_vector
+    rng = random.Random(f"induce-top:{name}")
+    # rho-singular weights (-rho, and a zero coordinate of nu + rho) give no
+    # term; -2 rho is regular and lands on chi_0 with the sign of w0
+    fixed = [
+        monomial(tuple(-r for r in rho)),
+        monomial((-1,) + (0,) * (rank - 1)),
+        monomial(tuple(-2 * r for r in rho)),
+        monomial((-1,) * rank) - monomial((-2,) + (1,) * (rank - 1)) * 3,
+    ]
+    seeded = [random_char_elt(rng, rank, nterms=4, span=2) for _ in range(3)]
+    for u in fixed + seeded:
+        expected = top(datum, u, strict=_strict_for(datum), method="both")
+        assert induce(datum, u) == decompose_into_irreducibles(datum, expected)
+    assert induce(datum, fixed[0]) == IrredDecomp({})
+    assert induce(datum, fixed[1]) == IrredDecomp({})
+    assert induce(datum, fixed[2]) == IrredDecomp(
+        {(0,) * rank: (-1) ** datum.num_positive_roots}
+    )
+
+
+def test_d4_fourth_fundamental_square():
+    d4 = build_root_datum("D4")
+    lam = (1, 1, 1, 1)
+    chi = irreducible_character(d4, lam, strict=False)
+    dec = decompose_into_irreducibles(d4, chi * chi, strict=False)
+    assert len(dec) == 89
+    assert all(c > 0 for _, c in dec.items())
+    assert sum(c * weyl_dimension(d4, nu) for nu, c in dec.items()) == weyl_dimension(d4, lam) ** 2
 
 
 def test_induce_projects_first():

@@ -121,6 +121,24 @@ def test_dominant_representative_properties():
     assert datum.dominant_representative((1, 1)) == (1, 1)
 
 
+@pytest.mark.parametrize("name", ["B2", "G2"])
+def test_reflect_to_dominant_counts_the_sign(name):
+    from itertools import product
+
+    from weylkit.weyl import weyl_group
+
+    datum = build_root_datum(name)
+    group = weyl_group(datum)
+    for lam in product(range(-3, 4), repeat=datum.rank):
+        rep, count = datum.reflect_to_dominant(lam)
+        assert rep == datum.dominant_representative(lam)
+        assert 0 <= count <= datum.num_positive_roots
+        if all(rep):
+            # a regular weight is carried to the chamber by exactly one w
+            (w,) = [w for w in group if w.act(lam) == rep]
+            assert w.sign == (-1) ** count
+
+
 def test_negated_root():
     datum = build_root_datum("A2")
     root = datum.positive_roots[-1]
