@@ -20,7 +20,6 @@ from .config import resolve_strict, set_strict_default, strict_default
 from .covers import CoverDatum, build_cover, decompose_cover, pullback, reconstruct_cover
 from .demazure import alternating_quotient, delta, delta_prime, partial, partial_prime, top
 from .errors import (
-    BoxExhausted,
     FreenessCheckFailed,
     InternalInvariantError,
     NotDivisible,
@@ -132,7 +131,6 @@ __all__ = [
     "NotDivisible",
     "NotInvariant",
     "FreenessCheckFailed",
-    "BoxExhausted",
     "SingularMatrix",
     "ParseError",
 ]

@@ -16,7 +16,6 @@ __all__ = [
     "WordMismatch",
     "NotInvariant",
     "FreenessCheckFailed",
-    "BoxExhausted",
     "SingularMatrix",
     "ParseError",
 ]
@@ -50,12 +49,9 @@ class NotInvariant(WeylkitError):
     """Operand was required to be Weyl-invariant but is not."""
 
 
-class FreenessCheckFailed(WeylkitError):
-    """A claimed module basis failed its freeness verification."""
-
-
-class BoxExhausted(WeylkitError):
-    """Decomposition support box was exhausted after the configured retries."""
+class FreenessCheckFailed(InternalInvariantError):
+    """The Steinberg pairing has no unitriangular pivot order, so the
+    library's own basis weights failed to certify freeness."""
 
 
 class SingularMatrix(WeylkitError):

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
 Everything here works on plain lists/tuples of Python ints (arbitrary
 precision), never floats. Sizes are desk scale (dimensions in the low
@@ -7,10 +7,7 @@ hundreds), so the simple classical algorithms are the right tool.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
-
-from .errors import SingularMatrix
 
 IntMatrix = list[list[int]]
 
@@ -213,84 +210,3 @@ def lattices_equal(gens_a: Sequence[Sequence[int]], gens_b: Sequence[Sequence[in
         return all(integer_solve(mat, list(v)) is not None for v in vecs)
 
     return contains(gens_a, gens_b) and contains(gens_b, gens_a)
-
-
-def invert_unimodular(mat: Sequence[Sequence[int]]) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
-    n = len(mat)
-    det = determinant(mat)
-    if det not in (1, -1):
-        raise SingularMatrix(f"matrix is not unimodular (det={det})")
-    U, Ui, D, V = smith_normal_form(mat)
-    # D is the identity up to signs +1 (dets +-1 force every d_i = 1)
-    return mat_mul(V, U)
-
-
-def rational_inverse(mat: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Exact inverse over the rationals; raises SingularMatrix when det = 0."""
-    n = len(mat)
-    work = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise SingularMatrix("matrix is singular over the rationals")
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [c / pv for c in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
-def solve_rational_unique(
-    rows: Sequence[dict[int, int]],
-    rhs: Sequence[int],
-    ncols: int,
-) -> list[Fraction] | None:
-    """Solve a sparse integer system that must have full column rank.
-
-    rows[i] maps column index -> coefficient. Returns the unique solution as
-    Fractions, or None when the system is inconsistent. Raises SingularMatrix
-    when the column rank is deficient (uniqueness would fail).
-    """
-    work: list[dict[int, Fraction]] = [
-        {j: Fraction(c) for j, c in row.items() if c} for row in rows
-    ]
-    b = [Fraction(x) for x in rhs]
-    pivot_of_col: dict[int, int] = {}
-    pivot_rows: list[int] = []
-    for i in range(len(work)):
-        row = work[i]
-        if not row:
-            continue
-        col = min(row)
-        piv = row[col]
-        inv = 1 / piv
-        work[i] = {j: c * inv for j, c in row.items()}
-        b[i] *= inv
-        for k in range(len(work)):
-            if k == i:
-                continue
-            other = work[k]
-            factor = other.get(col)
-            if factor is None:
-                continue
-            for j, c in work[i].items():
-                nv = other.get(j, Fraction(0)) - factor * c
-                if nv:
-                    other[j] = nv
-                else:
-                    other.pop(j, None)
-            b[k] -= factor * b[i]
-        pivot_of_col[col] = i
-        pivot_rows.append(i)
-    for i, row in enumerate(work):
-        if not row and b[i]:
-            return None
-    if len(pivot_of_col) < ncols:
-        raise SingularMatrix(
-            f"system has column rank {len(pivot_of_col)} < {ncols}; solution not unique"
-        )
-    return [b[pivot_of_col[j]] for j in range(ncols)]

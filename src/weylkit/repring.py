@@ -9,30 +9,30 @@ is 0 when nu+rho is singular and sign(w) J(e^{lambda+rho}) when w(nu+rho) =
 lambda+rho is dominant. Dividing by J(e^rho) gives top(u) = sum c_lambda
 chi_lambda, and top(u) = u for invariant u.
 
-The Steinberg basis {e_w} makes R(T) a free R(G)-module of rank |W|;
-decompose_over_invariants computes coordinates in that basis through an exact
-integer linear system over orbit-sum unknowns. Since several sign conventions
-yield free bases, the convention here is recorded in formula_tag and freeness
-is verified rather than trusted.
+The Steinberg basis {e_w} makes R(T) a free R(G)-module of rank |W|
+(Steinberg, "On a theorem of Pittie", 1975). Pair it against
+f_w = e^{-rho-lambda_{w w0}}: the entry P[v][w] = top(e_v f_w) is one
+read-off, induce(e^{lambda_v - rho - lambda_{w w0}}). steinberg_basis finds
+an order of pivots (v, w) in which column w has exactly one nonzero entry
+left, +-chi_0 in row v, among the rows not yet pivoted; with no such order
+it raises FreenessCheckFailed. So P is unitriangular up to that order and
+invertible over R(G), the e_v are R(G)-independent, and since Frac R(T) has
+degree |W| over Frac R(G), every u has coordinates c with c P = b, where
+b_w = top(u f_w) lies in R(G); c = b P^{-1} is then integral. This proves
+freeness for the convention recorded in formula_tag, on every construction.
+decompose_over_invariants back-substitutes along the pivot order, so its
+coordinates reconstruct u by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .charring import CharElt, monomial, weyl_act_simple
 from .demazure import top
-from .errors import (
-    BoxExhausted,
-    FreenessCheckFailed,
-    InternalInvariantError,
-    NotInvariant,
-    SingularMatrix,
-)
-from .intlinalg import rational_inverse, solve_rational_unique
+from .errors import FreenessCheckFailed, InternalInvariantError, NotInvariant
 from .rootdata import RootDatum, Weight
 from .weyl import WeylElt, orbit, weyl_group
 
@@ -197,11 +197,17 @@ def orbit_sum(datum: RootDatum, weight: Sequence[int]) -> CharElt:
 
 @dataclass(frozen=True, eq=False)
 class SteinbergBasis:
-    """A monomial basis of R(T) as a free R(G)-module, indexed by W."""
+    """A monomial basis of R(T) as a free R(G)-module, indexed by W.
+
+    pivots is the freeness certificate: triples (v, phi, sign) in elimination
+    order with top(e_v e^phi) = sign * chi_0 and top(e_x e^phi) = 0 for every
+    x pivoted after v (module docstring).
+    """
 
     datum: RootDatum
     weights: tuple[tuple[WeylElt, Weight], ...]
     formula_tag: str
+    pivots: tuple[tuple[WeylElt, Weight, int], ...]
 
     def weight_of(self, w: WeylElt) -> Weight:
         for elt, lam in self.weights:
@@ -217,7 +223,6 @@ class SteinbergBasis:
 
 
 _FORMULA_TAG = "lambda_w = w(-sum over right descents j of fundamental_j)"
-_AUTO_VERIFY_MAX_ORDER = 8
 
 
 def _steinberg_weights(datum: RootDatum) -> tuple[tuple[WeylElt, Weight], ...]:
@@ -232,77 +237,74 @@ def _steinberg_weights(datum: RootDatum) -> tuple[tuple[WeylElt, Weight], ...]:
     return tuple(rows)
 
 
+def _pairing_pivots(
+    datum: RootDatum, weights: Sequence[tuple[WeylElt, Weight]]
+) -> tuple[tuple[WeylElt, Weight, int], ...]:
+    """A unitriangular pivot order of P[v][w] = top(e_v f_w), or
+    FreenessCheckFailed when there is none."""
+    group = weyl_group(datum)
+    rho = datum.weyl_vector
+    lam = dict(weights)
+    duals = [
+        tuple(-r - c for r, c in zip(rho, lam[group.multiply(w, group.longest)]))
+        for w, _ in weights
+    ]
+    # columns[k] holds the nonzero entries {row: top(e_row f_k)} of column k
+    columns: list[dict[int, IrredDecomp]] = [{} for _ in duals]
+    rows: list[list[int]] = [[] for _ in weights]
+    for i, (_, lam_v) in enumerate(weights):
+        for k, phi in enumerate(duals):
+            entry = induce(datum, monomial(tuple(a + b for a, b in zip(lam_v, phi))))
+            if entry:
+                columns[k][i] = entry
+                rows[i].append(k)
+    chi_0 = (0,) * datum.rank
+    open_rows = [len(col) for col in columns]
+    resolved = [False] * len(weights)
+    pivots: list[tuple[WeylElt, Weight, int]] = []
+    # a column joins the queue when one unresolved row is left in it; the
+    # loop also visits the columns it appends
+    queue = [k for k, n in enumerate(open_rows) if n == 1]
+    for k in queue:
+        if open_rows[k] != 1:
+            continue
+        (i,) = [i for i in columns[k] if not resolved[i]]
+        sign = columns[k][i].multiplicity(chi_0)
+        if len(columns[k][i]) != 1 or sign not in (1, -1):
+            continue
+        resolved[i] = True
+        pivots.append((weights[i][0], duals[k], sign))
+        for k2 in rows[i]:
+            open_rows[k2] -= 1
+            if open_rows[k2] == 1:
+                queue.append(k2)
+    if len(pivots) != len(weights):
+        stuck = [w.word for (w, _), done in zip(weights, resolved) if not done]
+        raise FreenessCheckFailed(
+            f"pairing is not unitriangular: no unit pivot for w = {list(map(list, stuck))}"
+        )
+    return tuple(pivots)
+
+
 def steinberg_basis(
     datum: RootDatum,
     verify: bool | None = None,
     verify_extent: int = 1,
 ) -> SteinbergBasis:
-    """Construct the basis; verify freeness on a weight box when requested.
+    """Construct the basis and certify that it is one.
 
-    verify=None verifies automatically for |W| <= 8; larger groups need
-    verify=True explicitly because the verification systems grow quickly.
+    Every construction pairs the basis against f_w = e^{-rho-lambda_{w w0}}
+    and finds a unitriangular pivot order of the pairing matrix, which proves
+    freeness (module docstring); FreenessCheckFailed when there is none.
+    verify and verify_extent have nothing left to do.
     """
-    basis = SteinbergBasis(datum, _steinberg_weights(datum), _FORMULA_TAG)
-    seen = {lam for _, lam in basis.weights}
-    if len(seen) != len(basis.weights):
-        raise FreenessCheckFailed("basis weights collide")
-    group = weyl_group(datum)
-    if verify is None:
-        verify = len(group) <= _AUTO_VERIFY_MAX_ORDER
-    if verify:
-        for point in product(range(-verify_extent, verify_extent + 1), repeat=datum.rank):
-            try:
-                coords = decompose_over_invariants(datum, monomial(point), basis)
-            except (BoxExhausted, SingularMatrix) as exc:
-                raise FreenessCheckFailed(
-                    f"e^{point} did not decompose uniquely: {exc}"
-                ) from exc
-            if reconstruct_over_invariants(datum, coords, basis) != monomial(point):
-                raise FreenessCheckFailed(f"reconstruction mismatch at e^{point}")
-    return basis
+    weights = _steinberg_weights(datum)
+    return SteinbergBasis(datum, weights, _FORMULA_TAG, _pairing_pivots(datum, weights))
 
 
 @lru_cache(maxsize=None)
 def _default_basis(datum: RootDatum) -> SteinbergBasis:
     return steinberg_basis(datum)
-
-
-@lru_cache(maxsize=None)
-def _simple_root_inverse(datum: RootDatum):
-    # columns of the Cartan matrix are the simple roots in weight coordinates,
-    # so this inverse converts weight coordinates to root coordinates
-    return rational_inverse(datum.cartan)
-
-
-def _dominance_below(datum: RootDatum, mu: Weight, tops: Sequence[Weight]) -> bool:
-    """mu is below some top in dominance order (difference in N-span of simples)."""
-    inv = _simple_root_inverse(datum)
-    for nu in tops:
-        diff = [a - b for a, b in zip(nu, mu)]
-        coords = [sum(row[i] * diff[i] for i in range(len(diff))) for row in inv]
-        if all(c.denominator == 1 and c >= 0 for c in coords):
-            return True
-    return False
-
-
-def _dominant_candidates(datum: RootDatum, tops: Sequence[Weight]) -> list[Weight]:
-    """All dominant weights below some member of `tops` in dominance order.
-
-    Every such weight lies in the convex hull of the top's orbit, hence in its
-    bounding box; enumerate dominant box points and filter.
-    """
-    rank = datum.rank
-    hi = [0] * rank
-    for nu in tops:
-        for point in orbit(datum, nu):
-            for i in range(rank):
-                hi[i] = max(hi[i], point[i])
-    cands = [
-        mu
-        for mu in product(*[range(0, h + 1) for h in hi])
-        if _dominance_below(datum, mu, tops)
-    ]
-    return sorted(cands)
 
 
 def decompose_over_invariants(
@@ -313,76 +315,24 @@ def decompose_over_invariants(
 ) -> dict[WeylElt, IrredDecomp]:
     """Coordinates of u in the Steinberg basis, as virtual characters.
 
-    Unknowns are orbit-sum multiplicities over dominant weights drawn from a
-    support box: the dominance down-set of the dominant representatives of
-    supp(u) shifted by the basis weights. Coefficient matching then gives an
-    integer linear system solved exactly. Cancellation chains can in
-    principle push true coordinates outside that box, so on inconsistency the
-    tops grow by rho and the solve reruns, `retries` extra times in all,
-    before BoxExhausted.
+    Back-substitution along the basis's pivot order: with r the part of u
+    not yet accounted for, each pivot (v, phi, sign) reads c_v = sign *
+    top(r e^phi) off in irreducibles and removes restrict(c_v) * e_v from r.
+    The rows pivoted later vanish in that column, so each c_v is exact, and r
+    ends at 0. retries has nothing left to do.
     """
     if basis is None:
         basis = _default_basis(datum)
-    rank = datum.rank
-    support = list(u.support()) or [(0,) * rank]
-    basis_weights = [lam for _, lam in basis.weights]
-    base_tops = {(0,) * rank}
-    for q in support:
-        for lam in basis_weights:
-            base_tops.add(
-                datum.dominant_representative(tuple(a - b for a, b in zip(q, lam)))
-            )
-    rho = datum.weyl_vector
-    tops = set(base_tops)
-    for attempt in range(retries + 1):
-        if attempt:
-            # rho need not lie in the root lattice, so keep the earlier tops
-            # alongside the shifted ones rather than replacing them
-            tops |= {
-                tuple(c + attempt * r for c, r in zip(nu, rho)) for nu in base_tops
-            }
-        candidates = _dominant_candidates(datum, sorted(tops))
-        columns: list[tuple[int, Weight]] = [
-            (w_idx, mu)
-            for w_idx, _ in enumerate(basis.weights)
-            for mu in candidates
-        ]
-        row_index: dict[Weight, int] = {}
-        rows: list[dict[int, int]] = []
-
-        def row_for(nu: Weight) -> dict[int, int]:
-            idx = row_index.get(nu)
-            if idx is None:
-                idx = len(rows)
-                row_index[nu] = idx
-                rows.append({})
-            return rows[idx]
-
-        for col, (w_idx, mu) in enumerate(columns):
-            lam = basis_weights[w_idx]
-            for point in orbit(datum, mu):
-                row_for(tuple(p + l for p, l in zip(point, lam)))[col] = 1
-        for nu in support:
-            row_for(tuple(nu))
-        rhs = [0] * len(rows)
-        for nu, c in u.items():
-            rhs[row_index[nu]] = c
-        solution = solve_rational_unique(rows, rhs, len(columns))
-        if solution is None or any(s.denominator != 1 for s in solution):
-            continue
-        out: dict[WeylElt, IrredDecomp] = {}
-        for w_idx, (w, _) in enumerate(basis.weights):
-            coeff = CharElt.zero()
-            base = w_idx * len(candidates)
-            for off, mu in enumerate(candidates):
-                m = int(solution[base + off])
-                if m:
-                    coeff = coeff + orbit_sum(datum, mu) * m
-            out[w] = decompose_into_irreducibles(datum, coeff)
-        return out
-    raise BoxExhausted(
-        f"no decomposition found within the padded box after {retries + 1} attempts"
-    )
+    weight = dict(basis.weights)
+    rest = u
+    out: dict[WeylElt, IrredDecomp] = {}
+    for v, phi, sign in basis.pivots:
+        coeff = induce(datum, rest * monomial(phi, sign))
+        rest = rest - restrict(datum, coeff) * monomial(weight[v])
+        out[v] = coeff
+    if rest:
+        raise InternalInvariantError("Steinberg back-substitution left a remainder")
+    return {w: out[w] for w, _ in basis.weights}
 
 
 def reconstruct_over_invariants(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import NotFiniteType, SafetyBoundExceeded
+from .errors import InternalInvariantError, NotFiniteType, SafetyBoundExceeded
 from .intlinalg import determinant
 
 Weight = tuple[int, ...]
@@ -147,17 +147,20 @@ class RootDatum:
         return self.reflect_to_dominant(weight)[0]
 
     def reflect_to_dominant(self, weight: Sequence[int]) -> tuple[Weight, int]:
-        """The dominant representative and the number of simple reflections taken; (-1)^count is the sign."""
+        """The dominant representative and the number of simple reflections taken; (-1)^count is the sign.
+
+        Each reflection lowers by one the number of positive roots beta with
+        <lambda, beta-check> < 0, so the loop settles within |positive roots| steps.
+        """
         lam = tuple(weight)
-        cap = 16 * (len(self.positive_roots) + 1)
-        for count in range(cap):
+        for count in range(len(self.positive_roots) + 1):
             for j in range(1, self.rank + 1):
                 if lam[j - 1] < 0:
                     lam = self.reflect_simple(j, lam)
                     break
             else:
                 return lam, count
-        raise SafetyBoundExceeded("dominant-representative loop did not settle")
+        raise InternalInvariantError("dominant-representative loop did not settle")
 
     def two_rho_check(self) -> bool:
         """2 * rho equals the sum of all positive roots."""

@@ -243,8 +243,8 @@ def test_07_free_module_coordinates():
             basis = steinberg_basis(datum)
             for mu in product(range(-3, 4), repeat=datum.rank):
                 coords = decompose_over_invariants(datum, monomial(mu), basis=basis)
-                # the solver rejects underdetermined systems, so the
-                # coordinates it returns are the unique ones
+                # the basis is certified free, so the coordinates it
+                # returns are the unique ones
                 assert set(coords) == set(group.elements)
                 assert reconstruct_over_invariants(datum, coords, basis=basis) == monomial(mu)
         datum = build_root_datum("A1")

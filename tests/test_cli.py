@@ -166,6 +166,19 @@ def test_steinberg_verify_flag(capsys):
     assert code == 0
 
 
+def test_failed_freeness_certificate_exits_two(capsys, monkeypatch):
+    import weylkit.repring as repring
+    from weylkit.weyl import weyl_group
+
+    # {1, e^2} is not an R(G)-basis of R(T) for A1: a library bug, not bad input
+    elements = weyl_group(weylkit.build_root_datum("A1")).elements
+    monkeypatch.setattr(repring, "_steinberg_weights", lambda d: tuple(zip(elements, [(0,), (2,)])))
+    code, out, err = run_cli(capsys, "steinberg", "A1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("FreenessCheckFailed:")
+
+
 def test_cover_pullback(capsys):
     code, out, _ = run_cli(
         capsys, "cover", "pullback", "e[1]+e[-2]", "--matrix", "[[2]]"

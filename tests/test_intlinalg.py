@@ -1,24 +1,19 @@
-"""Exact integer and rational linear algebra."""
+"""Exact integer linear algebra."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from weylkit.errors import SingularMatrix
 from weylkit.intlinalg import (
     determinant,
     identity_matrix,
     integer_kernel,
     integer_solve,
-    invert_unimodular,
     lattices_equal,
     mat_mul,
     mat_vec,
-    rational_inverse,
     smith_normal_form,
     snf_rank,
-    solve_rational_unique,
 )
 
 
@@ -110,72 +105,3 @@ def test_lattices_equal():
     assert not lattices_equal([[2, 0], [0, 2]], [[2, 2], [2, -2]])
     assert lattices_equal([], [])
     assert not lattices_equal([[1]], [])
-
-
-def test_invert_unimodular():
-    assert invert_unimodular([[1, 1], [0, 1]]) == [[1, -1], [0, 1]]
-    rng = random.Random("uni")
-    for _ in range(10):
-        # build a unimodular matrix from random row operations
-        mat = identity_matrix(3)
-        for _ in range(8):
-            i, j = rng.sample(range(3), 2)
-            c = rng.randint(-3, 3)
-            mat[i] = [a + c * b for a, b in zip(mat[i], mat[j])]
-        inv = invert_unimodular(mat)
-        assert mat_mul(mat, inv) == identity_matrix(3)
-    with pytest.raises(SingularMatrix):
-        invert_unimodular([[2, 0], [0, 1]])
-
-
-def test_rational_inverse():
-    inv = rational_inverse([[2, 0], [0, 4]])
-    assert inv == [[Fraction(1, 2), 0], [0, Fraction(1, 4)]]
-    rng = random.Random("ratinv")
-    done = 0
-    while done < 10:
-        mat = random_matrix(rng, 3, 3)
-        if determinant(mat) == 0:
-            continue
-        inv = rational_inverse(mat)
-        product = [
-            [sum(Fraction(mat[i][k]) * inv[k][j] for k in range(3)) for j in range(3)]
-            for i in range(3)
-        ]
-        assert product == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-        done += 1
-    with pytest.raises(SingularMatrix):
-        rational_inverse([[1, 2], [2, 4]])
-
-
-def test_solve_rational_unique():
-    # determined system with fractional solution
-    got = solve_rational_unique([{0: 2}, {1: 3}], [1, 1], 2)
-    assert got == [Fraction(1, 2), Fraction(1, 3)]
-    # overdetermined but consistent
-    got = solve_rational_unique([{0: 1}, {0: 2}], [3, 6], 1)
-    assert got == [Fraction(3)]
-    # inconsistent
-    assert solve_rational_unique([{0: 1}, {0: 1}], [1, 2], 1) is None
-    # rank-deficient: uniqueness impossible
-    with pytest.raises(SingularMatrix):
-        solve_rational_unique([{0: 1, 1: 1}], [1], 2)
-
-
-def test_solve_rational_unique_random_round_trip():
-    rng = random.Random("sparse")
-    for _ in range(10):
-        n = 4
-        x = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-        rows = []
-        rhs = []
-        # n + 2 rows keep full column rank overwhelmingly likely; retry if not
-        for _ in range(n + 2):
-            row = {j: rng.randint(-4, 4) for j in range(n) if rng.random() < 0.8}
-            rows.append(row)
-            rhs.append(sum(c * x[j] for j, c in row.items()))
-        try:
-            got = solve_rational_unique(rows, [int(v) for v in rhs], n)
-        except SingularMatrix:
-            continue
-        assert got == x

@@ -6,7 +6,9 @@ import pytest
 
 from weylkit.charring import CharElt, monomial
 from weylkit.demazure import top
-from weylkit.errors import InternalInvariantError, NotInvariant
+from weylkit.config import set_strict_default
+from weylkit.errors import FreenessCheckFailed, InternalInvariantError, NotInvariant
+import weylkit.repring as repring
 from weylkit.repring import (
     IrredDecomp,
     decompose_into_irreducibles,
@@ -275,14 +277,51 @@ def test_steinberg_weights_frozen():
 
 
 def test_steinberg_basis_verification_paths():
-    # small groups verify on construction; a wider box is opt-in
-    steinberg_basis(A2, verify=True, verify_extent=1)
+    # every construction is certified; verify, verify_extent and retries
+    # have nothing left to change
     b2 = build_root_datum("B2")
-    basis = steinberg_basis(b2)  # |W| = 8 still auto-verifies
-    assert len(basis.weights) == 8
+    basis = steinberg_basis(b2)
+    assert len(basis.weights) == len(basis.pivots) == 8
+    unverified = steinberg_basis(b2, verify=False)
+    assert steinberg_basis(b2, verify=True, verify_extent=2).pivots == basis.pivots == unverified.pivots
+    rng = random.Random("steinberg-options:B2")
+    for _ in range(3):
+        u = random_char_elt(rng, b2.rank, nterms=3, span=2)
+        assert decompose_over_invariants(b2, u, unverified, retries=0) == decompose_over_invariants(b2, u, basis)
     g2 = build_root_datum("G2")
-    unverified = steinberg_basis(g2, verify=False)
-    assert len(unverified.weights) == 12
+    assert len(steinberg_basis(g2, verify=False).weights) == 12
+
+
+def _patched_weights(monkeypatch, datum, weights):
+    elements = weyl_group(datum).elements
+    rows = tuple(zip(elements, weights))
+    monkeypatch.setattr(repring, "_steinberg_weights", lambda d: rows)
+
+
+def test_freeness_certificate_rejects_non_bases(monkeypatch):
+    # s_2's weight (-1,1) shifted by alpha_1 = (2,-1) lands on s_1 s_2's (1,0)
+    weights = [lam for _, lam in repring._steinberg_weights(A2)]
+    assert weights[2] == (-1, 1) and weights[3] == (1, 0)
+    weights[2] = (1, 0)
+    # e^1 = (1 + e^2) / chi_1 is not an R(G)-combination of 1 and e^2
+    _patched_weights(monkeypatch, A1, [(0,), (2,)])
+    with pytest.raises(FreenessCheckFailed):
+        steinberg_basis(A1)
+    _patched_weights(monkeypatch, A2, weights)
+    with pytest.raises(FreenessCheckFailed):
+        steinberg_basis(A2)
+
+
+def test_freeness_certificate_accepts_swapped_weights(monkeypatch):
+    # the same monomials on other group elements are still a basis
+    weights = [lam for _, lam in repring._steinberg_weights(A2)]
+    weights[1], weights[4] = weights[4], weights[1]
+    _patched_weights(monkeypatch, A2, weights)
+    basis = steinberg_basis(A2)
+    rng = random.Random("steinberg-swapped:A2")
+    for _ in range(3):
+        u = random_char_elt(rng, A2.rank, nterms=3, span=2)
+        assert reconstruct_over_invariants(A2, decompose_over_invariants(A2, u, basis), basis) == u
 
 
 def test_steinberg_hand_coordinates_rank_one():
@@ -298,13 +337,22 @@ def test_steinberg_hand_coordinates_rank_one():
     assert coords[s] == IrredDecomp({(1,): 1})
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "B2"])
+@pytest.mark.parametrize("name", sorted(FUNDAMENTAL_DIMS))
 def test_decompose_reconstruct_round_trip(name):
     datum = build_root_datum(name)
     rng = random.Random(f"steinberg:{name}")
-    for _ in range(5):
-        u = random_char_elt(rng, datum.rank, nterms=3, span=2)
+    if name == "D4":
+        # strict characters compose 2316 reduced words each on D4
+        set_strict_default(False)
+        elements = [monomial((1, 0, 0, 0)), monomial((-1, 1, 0, -1), 2)]
+    else:
+        # span 1 on rank 3 keeps the strict characters of the coordinates small
+        span = 2 if datum.rank <= 2 else 1
+        elements = [random_char_elt(rng, datum.rank, nterms=3, span=span) for _ in range(5)]
+    for u in elements:
         coords = decompose_over_invariants(datum, u)
+        assert set(coords) == set(weyl_group(datum).elements)
+        assert all(isinstance(dec, IrredDecomp) for dec in coords.values())
         assert reconstruct_over_invariants(datum, coords) == u
 
 

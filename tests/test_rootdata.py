@@ -121,7 +121,7 @@ def test_dominant_representative_properties():
     assert datum.dominant_representative((1, 1)) == (1, 1)
 
 
-@pytest.mark.parametrize("name", ["B2", "G2"])
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2"])
 def test_reflect_to_dominant_counts_the_sign(name):
     from itertools import product
 
@@ -137,6 +137,16 @@ def test_reflect_to_dominant_counts_the_sign(name):
             # a regular weight is carried to the chamber by exactly one w
             (w,) = [w for w in group if w.act(lam) == rep]
             assert w.sign == (-1) ** count
+
+
+def test_reflect_to_dominant_that_never_settles_is_an_internal_error(monkeypatch):
+    from weylkit.errors import InternalInvariantError
+    from weylkit.rootdata import RootDatum
+
+    datum = build_root_datum("A2")
+    monkeypatch.setattr(RootDatum, "reflect_simple", lambda self, j, weight: tuple(weight))
+    with pytest.raises(InternalInvariantError):
+        datum.reflect_to_dominant((-1, 0))
 
 
 def test_negated_root():
