@@ -15,9 +15,10 @@ True
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import NotDivisible
+from .errors import InternalInvariantError, NotDivisible
 from .rootdata import Root, RootDatum, Weight
 from .weyl import WeylElt, weyl_group
 
@@ -26,6 +27,7 @@ __all__ = [
     "monomial",
     "weyl_act",
     "weyl_act_simple",
+    "is_weyl_invariant",
     "divide_exact",
     "divide_exact_general",
     "weyl_denominator",
@@ -209,46 +211,109 @@ def weyl_act(w: WeylElt, u: CharElt) -> CharElt:
 
 
 def weyl_act_simple(datum: RootDatum, j: int, u: CharElt) -> CharElt:
-    """Action of the simple reflection s_j."""
+    """Action of the simple reflection s_j: e^mu -> e^{mu - mu_j alpha_j}.
+
+    The index is checked once, also when u is zero.
+    """
+    alpha = datum.simple_root(j).weight_coords
+    i = j - 1
     out: dict[Weight, int] = {}
-    for mu, c in u.items():
-        out[datum.reflect_simple(j, mu)] = c
+    for mu, c in u._terms.items():
+        t = mu[i]
+        out[tuple([m - t * a for m, a in zip(mu, alpha)]) if t else mu] = c
+    return CharElt._raw(out)
+
+
+def is_weyl_invariant(
+    datum: RootDatum, u: CharElt
+) -> tuple[bool, tuple[int, CharElt] | None]:
+    """Whether u is fixed by W; checked on the simple reflections. On failure
+    returns the witness (j, s_j(u))."""
+    for j in range(1, datum.rank + 1):
+        image = weyl_act_simple(datum, j, u)
+        if image != u:
+            return False, (j, image)
+    return True, None
+
+
+def _string_quotient(u: CharElt, root: Root, shift: int | None = None) -> CharElt:
+    """One pass over the alpha-strings of u: divide by (1 - e^{-alpha}), after
+    forming a divided-difference numerator when shift is given.
+
+    A term e^mu sits on the string through rep = mu - k alpha at position
+    k = <mu, alpha-check> // 2, so t0 = <rep, alpha-check> is 0 or 1 and s_alpha
+    sends position p to -p - t0. With q_p the coefficients of u on one string,
+    shift 1 gives the numerator of delta, u - e^{-alpha} s_alpha(u), and shift 0
+    that of delta', u - s_alpha(u): v_p = q_p - q_{-p-t0-shift}. Without a
+    shift the numerator is u itself. (1 - e^{-alpha}) acts on a string by
+    (v_p) -> (v_p - v_{p+1}), so the quotient is the top-down cumulative sum,
+    and the string divides exactly iff its numerator sums to zero. A
+    divided-difference numerator always does, so a residue there raises
+    InternalInvariantError; otherwise it raises NotDivisible.
+    """
+    alpha = root.weight_coords
+    f = root.coroot
+    multiples: dict[int, Weight] = {}
+    strings: dict[Weight, dict[int, int]] = {}
+    for mu, c in u._terms.items():
+        k = sum(map(mul, f, mu)) // 2
+        ka = multiples.get(k)
+        if ka is None:
+            ka = multiples[k] = tuple([k * a for a in alpha])
+        rep = tuple(map(sub, mu, ka))
+        line = strings.get(rep)
+        if line is None:
+            strings[rep] = {k: c}
+        else:
+            line[k] = c
+    out: dict[Weight, int] = {}
+    for rep, line in strings.items():
+        get = line.get
+        kmax = max(line)
+        kmin = min(line)
+        running = 0
+        if shift is None:
+            for p in range(kmax, kmin, -1):
+                running += get(p, 0)
+                if running:
+                    ka = multiples.get(p)
+                    if ka is None:
+                        ka = multiples[p] = tuple([p * a for a in alpha])
+                    out[tuple(map(add, rep, ka))] = running
+            residue = running + line[kmin]
+            if residue:
+                raise NotDivisible(f"coset through {rep} has residue {residue}")
+            continue
+        m = sum(map(mul, f, rep)) + shift
+        hi = max(kmax, -kmin - m)
+        lo = -hi - m
+        for p in range(hi, lo, -1):
+            running += get(p, 0) - get(-p - m, 0)
+            if running:
+                ka = multiples.get(p)
+                if ka is None:
+                    ka = multiples[p] = tuple([p * a for a in alpha])
+                out[tuple(map(add, rep, ka))] = running
+        residue = running + get(lo, 0) - get(hi, 0)
+        if residue:
+            raise InternalInvariantError(
+                f"divided-difference numerator on the string through {rep} has residue {residue}"
+            )
     return CharElt._raw(out)
 
 
 def divide_exact(u: CharElt, root: Root) -> CharElt:
     """Exact division by (1 - e^{-alpha}); raises NotDivisible otherwise.
 
-    Terms are grouped into Z*alpha cosets (the pairing with alpha-check
-    separates positions inside a coset, so ties are impossible). On the line
-    rep + k*alpha the factor acts by (q_k) -> (q_k - q_{k+1}), so the quotient
-    is the top-down cumulative sum; the line divides exactly iff its
-    coefficients sum to zero, which makes failure detection deterministic.
+    Terms are grouped into alpha-strings, the cosets of Z*alpha (the pairing
+    with alpha-check separates positions inside a string, so ties are
+    impossible). On the string rep + k*alpha the factor acts by
+    (q_k) -> (q_k - q_{k+1}), so the quotient is the top-down cumulative sum;
+    the string divides exactly iff its coefficients sum to zero, which makes
+    failure detection deterministic. This is _string_quotient without a
+    numerator step.
     """
-    if not u:
-        return CharElt.zero()
-    alpha = root.weight_coords
-    f = root.coroot
-    cosets: dict[Weight, dict[int, int]] = {}
-    for mu, c in u.items():
-        t = sum(a * b for a, b in zip(f, mu))
-        k = t // 2
-        rep = tuple(m - k * a for m, a in zip(mu, alpha))
-        cosets.setdefault(rep, {})[k] = c
-    out: dict[Weight, int] = {}
-    for rep, line in cosets.items():
-        kmax = max(line)
-        kmin = min(line)
-        running = 0
-        for k in range(kmax, kmin, -1):
-            running += line.get(k, 0)
-            if running:
-                out[tuple(r + k * a for r, a in zip(rep, alpha))] = running
-        if running + line[kmin]:
-            raise NotDivisible(
-                f"coset through {rep} has residue {running + line[kmin]}"
-            )
-    return CharElt._raw(out)
+    return _string_quotient(u, root)
 
 
 def divide_exact_general(numerator: CharElt, divisor: CharElt) -> CharElt:
@@ -306,24 +371,42 @@ def weyl_denominator(datum: RootDatum) -> CharElt:
     return result
 
 
+def _dominant_fold(datum: RootDatum, u: CharElt) -> dict[Weight, int]:
+    """The terms of e^rho u folded into the dominant chamber.
+
+    Each mu + rho is reflected to its dominant representative lambda, and c
+    is added at lambda with the sign (-1)^(number of reflections); a
+    singular lambda (some coordinate 0) is dropped. The result holds the
+    regular dominant weights whose coefficients do not cancel.
+    """
+    rho = datum.weyl_vector
+    folded: dict[Weight, int] = {}
+    for mu, c in u._terms.items():
+        lam, count = datum.reflect_to_dominant(tuple(map(add, mu, rho)))
+        if all(lam):
+            v = folded.get(lam, 0) + (-c if count & 1 else c)
+            if v:
+                folded[lam] = v
+            else:
+                del folded[lam]
+    return folded
+
+
 def antisymmetrize(datum: RootDatum, u: CharElt) -> CharElt:
     """A(u) = sum over w of sign(w) e^{-rho} w(e^{rho} u).
 
-    A(1) equals the Weyl denominator, and e^{rho} A(u) changes sign under
-    every simple reflection.
+    A(u) is alternating in mu + rho, so the terms are first folded into the
+    dominant chamber (_dominant_fold): w(mu + rho) = lambda contributes
+    sign(w) c at lambda, and a singular lambda contributes nothing. Only the
+    folded sum goes over W; the regular lambda have trivial stabilizers and
+    lie in distinct orbits, so no two images meet. A(1) equals the Weyl
+    denominator, and e^{rho} A(u) changes sign under every simple reflection.
     """
     rho = datum.weyl_vector
-    shifted = {tuple(m + r for m, r in zip(mu, rho)): c for mu, c in u.items()}
+    folded = _dominant_fold(datum, u)
     out: dict[Weight, int] = {}
     for w in weyl_group(datum):
         s = w.sign
-        mat = w.matrix
-        for mu, c in shifted.items():
-            img = tuple(sum(r * x for r, x in zip(row, mu)) for row in mat)
-            key = tuple(a - r for a, r in zip(img, rho))
-            v = out.get(key, 0) + s * c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
+        for lam, c in folded.items():
+            out[tuple(map(sub, w.act(lam), rho))] = s * c
     return CharElt._raw(out)

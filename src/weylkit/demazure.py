@@ -5,8 +5,16 @@ For a simple root alpha:
     delta_alpha(u)       = (u - e^{-alpha} s_alpha(u)) / (1 - e^{-alpha})
     delta_prime_alpha(u) = (u - s_alpha(u)) / (1 - e^{-alpha})
 
-Both divisions are exact for every u. delta is idempotent with delta(1) = 1;
-delta_prime is idempotent with delta_prime(1) = 0; delta = delta_prime + s.
+Both divisions are exact for every u. Both operators act on each alpha-string
+rep + Z*alpha of u separately, and are computed in one pass over those
+strings (charring._string_quotient): with q_p the coefficient at
+rep + p*alpha and t0 = <rep, alpha-check> in {0, 1}, the numerator is
+v_p = q_p - q_{-p-t0-1} for delta and v_p = q_p - q_{-p-t0} for delta_prime,
+and the quotient is its top-down cumulative sum. A residue there would be a
+library bug and raises InternalInvariantError.
+
+delta is idempotent with delta(1) = 1; delta_prime is idempotent with
+delta_prime(1) = 0; delta = delta_prime + s.
 Compositions along a reduced word depend only on the group element, which
 strict mode verifies by recomputing along every reduced word. The operator
 for the longest element projects onto Weyl invariants and agrees with the
@@ -17,13 +25,7 @@ character formula route); `top` can compute either or both.
 from __future__ import annotations
 
 from .config import resolve_strict
-from .charring import (
-    CharElt,
-    antisymmetrize,
-    divide_exact,
-    monomial,
-    weyl_act_simple,
-)
+from .charring import CharElt, _string_quotient, antisymmetrize, divide_exact
 from .errors import InternalInvariantError, WordMismatch
 from .rootdata import Root, RootDatum
 from .weyl import WeylElt, weyl_group
@@ -50,19 +52,12 @@ def _simple_index(datum: RootDatum, alpha: int | Root) -> int:
 
 def delta(datum: RootDatum, alpha: int | Root, u: CharElt) -> CharElt:
     """The isobaric divided difference for a simple root (index or Root)."""
-    j = _simple_index(datum, alpha)
-    root = datum.simple_root(j)
-    reflected = weyl_act_simple(datum, j, u)
-    shift = monomial(tuple(-c for c in root.weight_coords))
-    return divide_exact(u - shift * reflected, root)
+    return _string_quotient(u, datum.simple_root(_simple_index(datum, alpha)), 1)
 
 
 def delta_prime(datum: RootDatum, alpha: int | Root, u: CharElt) -> CharElt:
     """The bare divided difference; kills invariants, delta_prime(1) = 0."""
-    j = _simple_index(datum, alpha)
-    root = datum.simple_root(j)
-    reflected = weyl_act_simple(datum, j, u)
-    return divide_exact(u - reflected, root)
+    return _string_quotient(u, datum.simple_root(_simple_index(datum, alpha)), 0)
 
 
 def _compose(datum: RootDatum, word: tuple[int, ...], u: CharElt, op) -> CharElt:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .charring import CharElt, monomial, weyl_act_simple
+from .charring import CharElt, is_weyl_invariant, monomial, weyl_act_simple
 from .demazure import _along_words, delta, delta_prime, partial, top
 from .rootdata import RootDatum
 from .weyl import WeylElt, weyl_group
@@ -248,17 +248,5 @@ def is_ideal_invariant(
     for j in range(1, datum.rank + 1):
         image = delta_prime(datum, j, u)
         if image:
-            return False, (j, image)
-    return True, None
-
-
-def is_weyl_invariant(
-    datum: RootDatum, u: CharElt
-) -> tuple[bool, tuple[int, CharElt] | None]:
-    """Whether u is fixed by W; checked on the simple reflections. On failure
-    returns the witness (j, s_j(u))."""
-    for j in range(1, datum.rank + 1):
-        image = weyl_act_simple(datum, j, u)
-        if image != u:
             return False, (j, image)
     return True, None

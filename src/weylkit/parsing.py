@@ -16,6 +16,12 @@ Operator expressions (the rightmost factor acts first):
 
 Weight lists accept "2", "1,0", or "[1,0]". All integers are decimal; the
 number of coordinates must match the rank of the group in use.
+
+A power u^n is checked before it is taken: its degree (largest absolute
+weight coordinate), its number of terms and the bit length of its
+coefficients, each bounded from the support box and the coefficients of u,
+must stay within MAX_POWER_DEGREE, MAX_POWER_TERMS and MAX_POWER_BITS, or
+the parser raises ParseError.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ from typing import NamedTuple
 from .charring import CharElt, monomial
 from .errors import ParseError
 from .hecke import OpExpr
+
+MAX_POWER_DEGREE = 10_000
+MAX_POWER_TERMS = 1_000
+MAX_POWER_BITS = 10_000
 
 
 class Token(NamedTuple):
@@ -140,8 +150,14 @@ class _Parser:
 
     def char_factor(self) -> CharElt:
         base = self.char_atom()
-        if self.accept("^"):
-            return base ** self.signed_int()
+        caret = self.accept("^")
+        if caret:
+            n = self.signed_int()
+            if n == 0:
+                # also for a zero base, whose rank CharElt.__pow__ cannot know
+                return CharElt.one(self.rank)
+            _check_power_size(base, abs(n), caret.pos)
+            return base**n
         return base
 
     def char_atom(self) -> CharElt:
@@ -199,6 +215,40 @@ class _Parser:
         if tok.kind != "END":
             raise ParseError(
                 f"unexpected trailing {tok.text!r} after {what} at position {tok.pos}"
+            )
+
+
+def _check_power_size(base: CharElt, n: int, pos: int) -> None:
+    """Raise ParseError if base^n would pass a size cap (module docstring).
+
+    Every weight of base^n lies in n times the support box of base, and is a
+    sum of n support weights, so the terms number at most the smaller of
+    the box's lattice points and the multisets of size n; every coefficient
+    is at most (sum of |c|)^n in absolute value. The multiset count is taken
+    only when the degree is within its cap, which bounds n there.
+    """
+    support = base.support()
+    if not support:
+        return
+    lo = [min(coords) for coords in zip(*support)]
+    hi = [max(coords) for coords in zip(*support)]
+    degree = n * max(max(map(abs, lo)), max(map(abs, hi)))
+    terms = 1
+    for a, b in zip(lo, hi):
+        terms *= n * (b - a) + 1
+    if terms > MAX_POWER_TERMS and degree <= MAX_POWER_DEGREE:
+        from math import comb
+
+        terms = min(terms, comb(len(support) + n - 1, n))
+    bits = n * (sum(abs(c) for _, c in base.items()) - 1).bit_length()
+    for what, value, cap in (
+        ("degree", degree, MAX_POWER_DEGREE),
+        ("terms", terms, MAX_POWER_TERMS),
+        ("coefficient bits", bits, MAX_POWER_BITS),
+    ):
+        if value > cap:
+            raise ParseError(
+                f"power at position {pos} is too large: its {what} may reach {value}, over the limit {cap}"
             )
 
 

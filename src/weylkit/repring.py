@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 from typing import Iterator, Mapping, Sequence
 
-from .charring import CharElt, monomial, weyl_act_simple
+from .charring import CharElt, _dominant_fold, is_weyl_invariant, monomial
 from .demazure import top
 from .errors import FreenessCheckFailed, InternalInvariantError, NotInvariant
 from .rootdata import RootDatum, Weight
@@ -68,6 +69,13 @@ class IrredDecomp:
             else:
                 clean.pop(key, None)
         self._entries = clean
+
+    @classmethod
+    def _raw(cls, entries: dict[Weight, int]) -> "IrredDecomp":
+        # trusted constructor: dominant tuple keys, no zero values
+        dec = cls.__new__(cls)
+        dec._entries = entries
+        return dec
 
     def __bool__(self) -> bool:
         return bool(self._entries)
@@ -149,22 +157,15 @@ def irreducible_character(
     return _irreducible_cached(datum, tuple(weight), resolve_strict(strict), method)
 
 
-def _invariance_witness(datum: RootDatum, u: CharElt) -> int | None:
-    for j in range(1, datum.rank + 1):
-        if weyl_act_simple(datum, j, u) != u:
-            return j
-    return None
-
-
 def decompose_into_irreducibles(
     datum: RootDatum, u: CharElt, strict: bool | None = None
 ) -> IrredDecomp:
     """Write a Weyl-invariant element as an integer combination of
     irreducible characters (multiplicities may be negative). That is
     induce(u), since top(u) = u; strict has nothing to check here."""
-    witness = _invariance_witness(datum, u)
-    if witness is not None:
-        raise NotInvariant(f"not invariant under s_{witness}")
+    invariant, witness = is_weyl_invariant(datum, u)
+    if not invariant:
+        raise NotInvariant(f"not invariant under s_{witness[0]}")
     return induce(datum, u)
 
 
@@ -182,12 +183,9 @@ def induce(datum: RootDatum, u: CharElt, strict: bool | None = None) -> IrredDec
     restrict. The multiplicities are read off J(e^rho u) (module docstring)
     without computing top(u); strict has nothing to check here."""
     rho = datum.weyl_vector
-    terms: list[tuple[Weight, int]] = []
-    for nu, c in u.items():
-        lam, count = datum.reflect_to_dominant(tuple(a + r for a, r in zip(nu, rho)))
-        if all(lam):
-            terms.append((tuple(a - r for a, r in zip(lam, rho)), -c if count % 2 else c))
-    return IrredDecomp(terms)
+    return IrredDecomp._raw(
+        {tuple(map(sub, lam, rho)): c for lam, c in _dominant_fold(datum, u).items()}
+    )
 
 
 def orbit_sum(datum: RootDatum, weight: Sequence[int]) -> CharElt:

@@ -114,7 +114,7 @@ class RootDatum:
         lj = weight[j - 1]
         if lj == 0:
             return tuple(weight)
-        return tuple(w - lj * self.cartan[i][j - 1] for i, w in enumerate(weight))
+        return tuple([w - lj * row[j - 1] for w, row in zip(weight, self.cartan)])
 
     def reflection_matrix(self, j: int) -> tuple[tuple[int, ...], ...]:
         """Matrix of s_j acting on fundamental-weight coordinate columns."""

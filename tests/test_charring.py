@@ -1,5 +1,7 @@
 """Exact Laurent arithmetic in the character ring."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,13 +11,15 @@ from weylkit.charring import (
     antisymmetrize,
     divide_exact,
     divide_exact_general,
+    is_weyl_invariant,
     monomial,
     weyl_act,
     weyl_act_simple,
     weyl_denominator,
 )
 from weylkit.errors import NotDivisible
-from weylkit.rootdata import build_root_datum
+from weylkit.rootdata import NAMED_TYPES, build_root_datum
+from weylkit.selftest import random_char_elt
 from weylkit.weyl import weyl_group
 
 
@@ -108,6 +112,24 @@ def test_weyl_act_is_ring_automorphism():
         assert weyl_act_simple(datum, j, u) == weyl_act(group.simple(j), u)
 
 
+def test_simple_reflection_index_is_checked_once_also_on_zero():
+    datum = build_root_datum("A2")
+    for j in (0, 3, -1):
+        with pytest.raises(IndexError):
+            weyl_act_simple(datum, j, CharElt.zero())
+        with pytest.raises(IndexError):
+            weyl_act_simple(datum, j, monomial((1, 0)))
+
+
+def test_is_weyl_invariant_witness():
+    datum = build_root_datum("A2")
+    u = monomial((1, 0))
+    assert is_weyl_invariant(datum, u) == (False, (1, monomial((-1, 1))))
+    orbit_sum = u + monomial((-1, 1)) + monomial((0, -1))
+    assert is_weyl_invariant(datum, orbit_sum) == (True, None)
+    assert is_weyl_invariant(datum, CharElt.zero()) == (True, None)
+
+
 def test_divide_exact_round_trip():
     datum = build_root_datum("A2")
     for root in datum.positive_roots:
@@ -115,6 +137,29 @@ def test_divide_exact_round_trip():
         u = monomial((2, -1)) - 3 * monomial((0, 1)) + monomial((-2, -2))
         assert divide_exact(u * factor, root) == u
     assert divide_exact(CharElt.zero(), datum.positive_roots[0]) == CharElt.zero()
+
+
+@pytest.mark.parametrize("name", NAMED_TYPES)
+def test_divide_exact_round_trips_on_every_positive_root(name):
+    datum = build_root_datum(name)
+    rng = random.Random(f"divide:{name}")
+    one = CharElt.one(datum.rank)
+    for root in datum.positive_roots:
+        factor = one - monomial(tuple(-c for c in root.weight_coords))
+        for _ in range(3):
+            u = random_char_elt(rng, datum.rank, nterms=6, span=3)
+            assert divide_exact(u * factor, root) == u
+
+
+@pytest.mark.parametrize("name", [n for n in NAMED_TYPES if n != "A1"])
+def test_divide_exact_rejects_a_non_simple_root(name):
+    # 1 - e^{-alpha_1} is divisible by its own factor only
+    datum = build_root_datum(name)
+    u = CharElt.one(datum.rank) - monomial(tuple(-c for c in datum.simple_root(1).weight_coords))
+    assert divide_exact(u, datum.simple_root(1)) == CharElt.one(datum.rank)
+    for root in datum.positive_roots[datum.rank:]:
+        with pytest.raises(NotDivisible):
+            divide_exact(u, root)
 
 
 def test_divide_exact_failure():
@@ -167,3 +212,33 @@ def test_antisymmetrize_kills_singular_inputs():
     # a rho-shift lying on a wall antisymmetrizes to zero
     datum = build_root_datum("A1")
     assert antisymmetrize(datum, monomial((-1,))) == CharElt.zero()
+
+
+def antisymmetrize_reference(datum, u):
+    # the defining sum over W, term by term
+    rho = monomial(datum.weyl_vector)
+    rho_inv = monomial(tuple(-c for c in datum.weyl_vector))
+    out = CharElt.zero()
+    for w in weyl_group(datum):
+        out = out + w.sign * (rho_inv * weyl_act(w, rho * u))
+    return out
+
+
+@pytest.mark.parametrize("name", NAMED_TYPES)
+def test_antisymmetrize_matches_the_sum_over_w(name):
+    datum = build_root_datum(name)
+    rng = random.Random(f"antisymmetrize:{name}")
+    rho = datum.weyl_vector
+    wall = (0,) + rho[1:]  # dominant and singular
+    shifted = [
+        (0,) * datum.rank,  # mu = -rho
+        wall,
+        datum.reflect_simple(datum.rank, wall),  # singular, not dominant
+        datum.reflect_simple(1, rho),  # regular, folds onto rho with sign -1
+    ]
+    special = CharElt.zero()
+    for i, nu in enumerate(shifted):
+        special = special + monomial(tuple(a - r for a, r in zip(nu, rho)), i + 1)
+    for _ in range(4):
+        u = random_char_elt(rng, datum.rank, nterms=8, span=3) + special
+        assert antisymmetrize(datum, u) == antisymmetrize_reference(datum, u)

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -276,6 +277,26 @@ def test_domain_errors_exit_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("char", "A1", "(1+e[1])^1000000"),  # a weight is expected: parse error
+        ("apply", "A1", "top", "(1+e[1])^1000000"),
+        ("induce", "A1", "(1+e[1])^1000000"),
+        ("decompose", "A2", "(e[1,0]+e[-1,1]+e[0,-1])^100000"),
+        ("invariant-check", "A1", "e[1]^-1000000"),
+        ("apply", "A1", "m[2^100000000]", "e[1]"),
+    ],
+)
+def test_huge_powers_exit_one_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert "ParseError" in err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from weylkit.charring import CharElt, monomial, weyl_act_simple
+from weylkit import demazure
+from weylkit.charring import CharElt, monomial, weyl_act, weyl_act_simple
 from weylkit.demazure import (
     alternating_quotient,
     delta,
@@ -13,9 +14,9 @@ from weylkit.demazure import (
     partial_prime,
     top,
 )
-from weylkit.errors import InternalInvariantError
+from weylkit.errors import InternalInvariantError, WordMismatch
 from weylkit.repring import weyl_dimension
-from weylkit.rootdata import build_root_datum
+from weylkit.rootdata import NAMED_TYPES, build_root_datum
 from weylkit.selftest import random_char_elt
 from weylkit.weyl import weyl_group
 
@@ -45,6 +46,24 @@ def test_delta_accepts_root_objects():
     assert nonsimple.height == 2
     with pytest.raises(ValueError):
         delta(build_root_datum("A2"), nonsimple, CharElt.one(2))
+
+
+@pytest.mark.parametrize("name", NAMED_TYPES)
+def test_string_kernel_matches_the_defining_quotients(name):
+    # delta_j(u) (1 - e^{-alpha_j}) == u - e^{-alpha_j} s_j(u) and
+    # delta'_j(u) (1 - e^{-alpha_j}) == u - s_j(u), checked with the generic
+    # ring operations and the matrix action of s_j
+    datum = build_root_datum(name)
+    group = weyl_group(datum)
+    rng = random.Random(f"kernel:{name}")
+    one = CharElt.one(datum.rank)
+    for _ in range(6):
+        u = random_char_elt(rng, datum.rank, nterms=10, span=4)
+        for j in range(1, datum.rank + 1):
+            shift = monomial(tuple(-c for c in datum.simple_root(j).weight_coords))
+            reflected = weyl_act(group.simple(j), u)
+            assert delta(datum, j, u) * (one - shift) == u - shift * reflected
+            assert delta_prime(datum, j, u) * (one - shift) == u - reflected
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
@@ -161,6 +180,25 @@ def test_conjugation_identity_rank_one():
 def test_word_values_disagreeing_raise_internal_error():
     # WordMismatch derives from InternalInvariantError so strict-mode failures
     # surface as bugs, not domain errors
-    from weylkit.errors import WordMismatch
-
     assert issubclass(WordMismatch, InternalInvariantError)
+
+
+def test_strict_mode_catches_a_broken_braid_relation(monkeypatch):
+    # doubling delta_1 breaks delta_1 delta_2 delta_1 == delta_2 delta_1 delta_2:
+    # the two reduced words of w0 in A2 give 4 top(u) and 2 top(u)
+    datum = build_root_datum("A2")
+    w0 = weyl_group(datum).longest
+    one = CharElt.one(2)
+    real_delta = demazure.delta
+
+    def broken(datum, alpha, u):
+        out = real_delta(datum, alpha, u)
+        return out * 2 if alpha == 1 else out
+
+    monkeypatch.setattr(demazure, "delta", broken)
+    with pytest.raises(WordMismatch):
+        partial(datum, w0, one, strict=True)
+    with pytest.raises(WordMismatch):
+        top(datum, one, strict=True)
+    assert partial(datum, w0, one, strict=False) in (2 * one, 4 * one)
+    assert top(datum, one, strict=False) in (2 * one, 4 * one)

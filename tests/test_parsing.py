@@ -8,6 +8,9 @@ from weylkit.charring import CharElt, monomial
 from weylkit.errors import NotDivisible, ParseError
 from weylkit.hecke import OpExpr
 from weylkit.parsing import (
+    MAX_POWER_BITS,
+    MAX_POWER_DEGREE,
+    MAX_POWER_TERMS,
     parse_char_expression,
     parse_operator_expression,
     parse_weight,
@@ -49,6 +52,33 @@ def test_whitespace_is_free():
     assert parse_char_expression(" e[ 1 , 0 ] +  2 * e[0,0] ", 2) == parse_char_expression(
         "e[1,0]+2*e[0,0]", 2
     )
+
+
+def test_zeroth_power_is_the_unit_of_the_rank():
+    for text in ("0^0", "(e[1,0]-e[1,0])^0", "(e[1,0]+3)^0"):
+        assert parse_char_expression(text, 2) == CharElt.one(2)
+
+
+def test_power_size_guard():
+    x = monomial((1,))
+    one = CharElt.one(1)
+    assert parse_char_expression(f"e[1]^{MAX_POWER_DEGREE}", 1) == x**MAX_POWER_DEGREE
+    assert parse_char_expression(f"e[1]^-{MAX_POWER_DEGREE}", 1) == x**-MAX_POWER_DEGREE
+    assert parse_char_expression(f"1^{10 * MAX_POWER_BITS}", 1) == one
+    assert len(parse_char_expression(f"(1+e[1])^{MAX_POWER_TERMS - 1}", 1)) == MAX_POWER_TERMS
+    # the support box of this power has 201^4 points, but it has 101 terms
+    assert len(parse_char_expression("(e[1,1,1,1]+e[-1,-1,-1,-1])^100", 4)) == 101
+    for text, rank, what in [
+        (f"e[1]^{MAX_POWER_DEGREE + 1}", 1, "degree"),
+        (f"e[-2]^-{MAX_POWER_DEGREE}", 1, "degree"),
+        (f"(1+e[1])^{MAX_POWER_TERMS}", 1, "terms"),
+        ("(e[1,0]+e[0,1]+e[-1,-1])^100", 2, "terms"),
+        ("(e[1,0,0]+e[0,1,0]+e[0,0,1]+e[-1,-1,-1])^100", 3, "terms"),
+        (f"2^{MAX_POWER_BITS + 1}", 1, "coefficient bits"),
+        (f"(3*e[1])^{MAX_POWER_DEGREE}", 1, "coefficient bits"),
+    ]:
+        with pytest.raises(ParseError, match=what):
+            parse_char_expression(text, rank)
 
 
 def test_negative_power_of_sum_propagates_not_divisible():
