@@ -7,6 +7,18 @@ plain dict equality; the canonical human-readable form lists terms in
 lexicographically descending weight order (leading term first), while JSON
 serialization lists them ascending.
 
+A product of two elements with at least two terms each runs on packed
+weights (Kronecker substitution). With lo_i and hi_i the smallest and
+largest i-th coordinate over the product's box (the sums of the factors'
+extremes), coordinate i gets the radix r_i = hi_i - lo_i + 1 and the
+place value P_i = r_0 * ... * r_{i-1}, and a weight mu packs to the int
+sum of mu_i * P_i. Packing is additive, so the packed product weight is
+the sum of the packed factor weights. It is injective on the box: there
+mu packs to sum lo_i * P_i plus sum d_i * P_i with every digit
+d_i = mu_i - lo_i in [0, r_i), and mixed-radix digits in range are unique,
+read back as d_i = (key // P_i) % r_i. Python ints do not overflow, so this
+holds for any coordinates and needs no size check.
+
 >>> x = monomial((1,))
 >>> (x + x**-1) * (x - x**-1) == x**2 - x**-2
 True
@@ -117,6 +129,20 @@ class CharElt:
         return CharElt._raw({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other: "CharElt | int") -> "CharElt":
+        """The ring product, or scaling by an int.
+
+        When one factor is zero or a monomial the product is a shift of the
+        other. Otherwise every weight is packed into one int (module
+        docstring), so a pair of terms costs one int addition and one dict
+        update, and only the nonzero sums are unpacked. Here both supports
+        lie in the box [0,1]^2, the product's in [0,2]^2, so the radices are
+        3 and 3, the place values 1 and 3, and e[a,b] packs to a + 3b; the
+        two terms at 1 + 3 = 4 cancel:
+
+        >>> x, y = monomial((1, 0)), monomial((0, 1))
+        >>> print((x + y) * (x - y))
+        e[2,0] - e[0,2]
+        """
         if isinstance(other, int):
             if not other:
                 return CharElt.zero()
@@ -126,16 +152,39 @@ class CharElt:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Weight, int] = {}
+        if len(a) < 2:
+            # zero or a monomial: a shift, whose terms stay distinct and nonzero
+            if not a:
+                return CharElt.zero()
+            ((mu, c),) = a.items()
+            return CharElt._raw({tuple(map(add, mu, nu)): c * d for nu, d in b.items()})
+        digits = []  # (place value, radix, lowest product coordinate)
+        places = []
+        place = 1
+        offset = 0
+        for xs, ys in zip(zip(*a), zip(*b)):
+            low = min(xs) + min(ys)
+            radix = max(xs) + max(ys) - low + 1
+            digits.append((place, radix, low))
+            places.append(place)
+            offset += low * place
+            place *= radix
+        # the offset rides on b, so a packed sum is the digit expansion itself
+        packed_b = [(sum(map(mul, nu, places)) - offset, d) for nu, d in b.items()]
+        sums: dict[int, int] = {}
+        get = sums.get
         for mu, c in a.items():
-            for nu, d in b.items():
-                key = tuple(x + y for x, y in zip(mu, nu))
-                v = out.get(key, 0) + c * d
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return CharElt._raw(out)
+            k = sum(map(mul, mu, places))
+            for kb, d in packed_b:
+                key = k + kb
+                sums[key] = get(key, 0) + c * d
+        return CharElt._raw(
+            {
+                tuple([key // p % r + low for p, r, low in digits]): v
+                for key, v in sums.items()
+                if v
+            }
+        )
 
     __rmul__ = __mul__
 
@@ -165,18 +214,7 @@ class CharElt:
         return result  # type: ignore[return-value]
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for mu in sorted(self._terms, reverse=True):
-            c = self._terms[mu]
-            mono = "e[" + ",".join(str(x) for x in mu) + "]"
-            body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return format_terms(self._terms, "e")
 
     def __repr__(self) -> str:
         return f"CharElt({str(self)})"
@@ -193,6 +231,21 @@ class CharElt:
         return cls((tuple(t["w"]), t["c"]) for t in payload["terms"])
 
 
+def format_terms(terms: Mapping[Weight, int], prefix: str) -> str:
+    """Terms in descending weight order, as e.g. "2*e[1,0] - e[0,-1]" with
+    prefix "e"; "0" when there are none."""
+    parts: list[str] = []
+    for mu in sorted(terms, reverse=True):
+        c = terms[mu]
+        mono = prefix + "[" + ",".join(str(x) for x in mu) + "]"
+        body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
 def monomial(weight: Sequence[int], coeff: int = 1) -> CharElt:
     """The element coeff * e^weight."""
     if coeff == 0:
@@ -202,12 +255,8 @@ def monomial(weight: Sequence[int], coeff: int = 1) -> CharElt:
 
 def weyl_act(w: WeylElt, u: CharElt) -> CharElt:
     """w(e^mu) = e^{w mu}, extended additively; a ring automorphism."""
-    mat = w.matrix
-    out: dict[Weight, int] = {}
-    for mu, c in u.items():
-        key = tuple(sum(r * x for r, x in zip(row, mu)) for row in mat)
-        out[key] = c
-    return CharElt._raw(out)
+    act = w.act
+    return CharElt._raw({act(mu): c for mu, c in u._terms.items()})
 
 
 def weyl_act_simple(datum: RootDatum, j: int, u: CharElt) -> CharElt:

@@ -21,7 +21,8 @@ A power u^n is checked before it is taken: its degree (largest absolute
 weight coordinate), its number of terms and the bit length of its
 coefficients, each bounded from the support box and the coefficients of u,
 must stay within MAX_POWER_DEGREE, MAX_POWER_TERMS and MAX_POWER_BITS, or
-the parser raises ParseError.
+the parser raises ParseError. A product u*v is checked the same way for
+the bit length of its coefficients, against MAX_POWER_BITS.
 """
 
 from __future__ import annotations
@@ -144,9 +145,13 @@ class _Parser:
 
     def char_term(self) -> CharElt:
         out = self.char_factor()
-        while self.accept("*"):
-            out = out * self.char_factor()
-        return out
+        while True:
+            star = self.accept("*")
+            if star is None:
+                return out
+            factor = self.char_factor()
+            _check_product_bits(out, factor, star.pos)
+            out = out * factor
 
     def char_factor(self) -> CharElt:
         base = self.char_atom()
@@ -250,6 +255,24 @@ def _check_power_size(base: CharElt, n: int, pos: int) -> None:
             raise ParseError(
                 f"power at position {pos} is too large: its {what} may reach {value}, over the limit {cap}"
             )
+
+
+def _check_product_bits(a: CharElt, b: CharElt, pos: int) -> None:
+    """Raise ParseError if a coefficient of a*b may pass MAX_POWER_BITS.
+
+    A coefficient of a*b sums c*d over pairs of terms whose weights add up
+    to one weight; each term of a meets at most one term of b there, so it
+    is at most (sum of |c| over a) * (largest |d| over b) in absolute value,
+    and likewise with a and b swapped.
+    """
+    abs_a = [abs(c) for _, c in a.items()] or [0]
+    abs_b = [abs(d) for _, d in b.items()] or [0]
+    bits = min(sum(abs_a) * max(abs_b), sum(abs_b) * max(abs_a)).bit_length()
+    if bits > MAX_POWER_BITS:
+        raise ParseError(
+            f"product at position {pos} is too large: its coefficient bits may reach {bits}, "
+            f"over the limit {MAX_POWER_BITS}"
+        )
 
 
 def parse_char_expression(text: str, rank: int) -> CharElt:

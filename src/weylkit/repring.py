@@ -31,7 +31,7 @@ from functools import lru_cache
 from operator import sub
 from typing import Iterator, Mapping, Sequence
 
-from .charring import CharElt, _dominant_fold, is_weyl_invariant, monomial
+from .charring import CharElt, _dominant_fold, format_terms, is_weyl_invariant, monomial
 from .demazure import top
 from .errors import FreenessCheckFailed, InternalInvariantError, NotInvariant
 from .rootdata import RootDatum, Weight
@@ -97,18 +97,7 @@ class IrredDecomp:
         return self._entries.get(tuple(weight), 0)
 
     def __str__(self) -> str:
-        if not self._entries:
-            return "0"
-        parts: list[str] = []
-        for lam in sorted(self._entries, reverse=True):
-            c = self._entries[lam]
-            mono = "chi[" + ",".join(str(x) for x in lam) + "]"
-            body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return format_terms(self._entries, "chi")
 
     def __repr__(self) -> str:
         return f"IrredDecomp({str(self)})"

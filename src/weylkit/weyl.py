@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import InternalInvariantError, SafetyBoundExceeded
+from .intlinalg import mat_mul
 from .rootdata import RootDatum, Weight
 
 __all__ = [
@@ -47,14 +48,6 @@ class WeylElt:
         return f"WeylElt({list(self.word)})"
 
 
-def _mat_mul(a: tuple[tuple[int, ...], ...], b: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 class WeylGroup:
     """The full Weyl group of a root datum, enumerated and indexed."""
 
@@ -75,7 +68,7 @@ class WeylGroup:
             new: list[WeylElt] = []
             for w in frontier:
                 for j in range(1, rank + 1):
-                    mat = _mat_mul(w.matrix, refl[j - 1])
+                    mat = tuple(map(tuple, mat_mul(w.matrix, refl[j - 1])))
                     key = tuple(sum(row) for row in mat)  # mat . rho with rho = (1,..,1)
                     right[(w.key, j)] = key
                     if key not in by_key:

@@ -50,6 +50,52 @@ def test_equality_ignores_construction_order(u):
     assert rebuilt == u
 
 
+def product_reference(u, v):
+    """u * v by the double loop over pairs of terms."""
+    out = {}
+    for mu, c in u.items():
+        for nu, d in v.items():
+            key = tuple(x + y for x, y in zip(mu, nu))
+            out[key] = out.get(key, 0) + c * d
+    return {k: c for k, c in out.items() if c}
+
+
+def wide_char_elts(rank: int):
+    # small coordinates make pairs collide and coefficients cancel; the
+    # huge ones stretch the packing's place values far past any machine word
+    coords = st.one_of(st.integers(-2, 2), st.sampled_from([10**40, -(10**40), 10**40 + 1]))
+    weights = st.tuples(*([coords] * rank))
+    return st.dictionaries(weights, st.integers(-2, 2), max_size=6).map(CharElt)
+
+
+@given(st.integers(0, 4).flatmap(lambda rank: st.tuples(wide_char_elts(rank), wide_char_elts(rank))))
+def test_product_matches_the_double_loop(pair):
+    u, v = pair
+    product = u * v
+    assert product._terms == product_reference(u, v)
+    assert v * u == product
+
+
+def test_product_fixed_cases():
+    x = monomial((1,))
+    u = x + 3 * x**-2 - CharElt.one(1)
+    zero = CharElt.zero()
+    assert zero * u == zero and u * zero == zero
+    for m in (monomial((4,), -2), CharElt.one(1)):
+        assert (m * u)._terms == product_reference(m, u)
+        assert (u * m)._terms == product_reference(u, m)
+    assert 3 * u == u * 3 == u + u + u
+    assert 0 * u == zero and u * 0 == zero
+    unit = CharElt.one(0)
+    assert unit * unit == unit and str(unit * -2) == "-2*e[]"
+    assert (x + x**-1) * (x - x**-1) == x**2 - x**-2
+    w = monomial((1, -1)) - 2 * monomial((0, 3)) + monomial((-1, 0))
+    power = CharElt.one(2)
+    for n in range(10):
+        assert w**n == power
+        power = power * w
+
+
 def test_zero_coefficients_never_stored():
     u = CharElt({(1,): 2, (0,): 0})
     assert len(u) == 1

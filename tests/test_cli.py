@@ -288,6 +288,9 @@ def test_domain_errors_exit_one(capsys, argv):
         ("decompose", "A2", "(e[1,0]+e[-1,1]+e[0,-1])^100000"),
         ("invariant-check", "A1", "e[1]^-1000000"),
         ("apply", "A1", "m[2^100000000]", "e[1]"),
+        # products of powers within their own bound
+        ("apply", "A1", "m[2^9999*2^9999]", "e[0]"),
+        ("decompose", "A1", "(2^9999*e[1]+2^9999*e[-1])*(2^9999*e[1]+2^9999*e[-1])"),
     ],
 )
 def test_huge_powers_exit_one_quickly(capsys, argv):

@@ -68,6 +68,9 @@ def test_power_size_guard():
     assert len(parse_char_expression(f"(1+e[1])^{MAX_POWER_TERMS - 1}", 1)) == MAX_POWER_TERMS
     # the support box of this power has 201^4 points, but it has 101 terms
     assert len(parse_char_expression("(e[1,1,1,1]+e[-1,-1,-1,-1])^100", 4)) == 101
+    # a product's coefficients are bounded by sum |c| times max |d|, either way
+    # round: 2^9999 has MAX_POWER_BITS bits, so it may be scaled but not squared
+    assert parse_char_expression("2^9999*e[1]*(e[0]-e[1])", 1) == 2**9999 * (x - x**2)
     for text, rank, what in [
         (f"e[1]^{MAX_POWER_DEGREE + 1}", 1, "degree"),
         (f"e[-2]^-{MAX_POWER_DEGREE}", 1, "degree"),
@@ -76,6 +79,8 @@ def test_power_size_guard():
         ("(e[1,0,0]+e[0,1,0]+e[0,0,1]+e[-1,-1,-1])^100", 3, "terms"),
         (f"2^{MAX_POWER_BITS + 1}", 1, "coefficient bits"),
         (f"(3*e[1])^{MAX_POWER_DEGREE}", 1, "coefficient bits"),
+        ("2^9999*2^9999", 1, "product at position 6 .* coefficient bits"),
+        ("(2^9999*e[1]+2^9999*e[-1])*e[0]*(e[1]+e[-1])", 1, "product at position 31"),
     ]:
         with pytest.raises(ParseError, match=what):
             parse_char_expression(text, rank)
