@@ -19,6 +19,32 @@ d_i = mu_i - lo_i in [0, r_i), and mixed-radix digits in range are unique,
 read back as d_i = (key // P_i) % r_i. Python ints do not overflow, so this
 holds for any coordinates and needs no size check.
 
+The alpha-string kernel behind divide_exact and the divided differences
+(_string_quotient) runs on packed weights too, with one radius B for every
+coordinate: with R = 2B + 1, mu packs to the int sum of mu_i * R^i, whose
+balanced base-R digits in [-B, B] are the coordinates. Packing is linear,
+so the string through mu steps its key by the packed root, and the pairing
+<mu, alpha-check> is read from the digits. B is exact by construction: with
+M_i the largest |mu_i| over the support of u, B is at least the sum of
+|beta-check_i| * M_i for every positive root beta (demazure takes
+sum c_i M_i, with c_i the largest such coefficient, which for an
+irreducible datum the highest coroot attains). A point nu of the convex
+hull of the W-orbit of the support has nu_i = <nu, alpha_i-check>, which at
+a vertex w mu is +-<mu, gamma-check> for a positive coroot gamma-check, so
+|nu_i| <= B. Every output of delta_j and delta'_j lies in
+that hull (on a segment [mu, s_j mu]), and so does every string
+representative (on [mu, s_beta mu]) and every quotient of an exact division
+(between two terms of its numerator's string). One packing therefore serves
+a whole word of operators, or all the divisions of A(u) by the Weyl
+denominator, with no size check or fallback; a single divide_exact bounds
+only mu and s_alpha mu. A weight with a negative coordinate round-trips:
+
+>>> packing = _Packing(2, 3)  # R = 7
+>>> packing.key((-2, 3))  # -2 + 3 * 7
+19
+>>> packing.weight(19)
+(-2, 3)
+
 >>> x = monomial((1,))
 >>> (x + x**-1) * (x - x**-1) == x**2 - x**-2
 True
@@ -285,9 +311,73 @@ def is_weyl_invariant(
     return True, None
 
 
-def _string_quotient(u: CharElt, root: Root, shift: int | None = None) -> CharElt:
-    """One pass over the alpha-strings of u: divide by (1 - e^{-alpha}), after
-    forming a divided-difference numerator when shift is given.
+class _Packing:
+    """Weights with every coordinate in [-radius, radius], packed into ints.
+
+    With R = 2 * radius + 1, a weight mu packs to the int sum of mu_i * R^i,
+    whose balanced base-R digits in [-radius, radius] are the coordinates
+    (module docstring).
+    """
+
+    __slots__ = ("radius", "radix", "places", "offset")
+
+    def __init__(self, rank: int, radius: int):
+        self.radius = radius
+        self.radix = 2 * radius + 1
+        self.places = [self.radix**i for i in range(rank)]
+        # shifts every digit into [0, R), where // and % read it back
+        self.offset = radius * sum(self.places)
+
+    @classmethod
+    def around(cls, terms: Mapping[Weight, int], coefficients: Sequence[int]) -> "_Packing":
+        """The packing of radius sum c_i M_i over the given c_i >= 0, with M_i
+        the largest |mu_i| over the weights of terms."""
+        bounds = [max(map(abs, xs)) for xs in zip(*terms)]
+        return cls(len(bounds), sum(map(mul, coefficients, bounds)))
+
+    def key(self, weight: Sequence[int]) -> int:
+        return sum(map(mul, weight, self.places))
+
+    def weight(self, key: int) -> Weight:
+        key += self.offset
+        r, b = self.radix, self.radius
+        return tuple([key // p % r - b for p in self.places])
+
+    def pack(self, terms: Mapping[Weight, int]) -> dict[int, int]:
+        places = self.places
+        return {sum(map(mul, mu, places)): c for mu, c in terms.items()}
+
+    def unpack(self, packed: Mapping[int, int]) -> dict[Weight, int]:
+        off, r, b = self.offset, self.radix, self.radius
+        # one coordinate at a time; rank 0 has no columns and one weight, ()
+        columns = [[(key + off) // p % r - b for key in packed] for p in self.places]
+        weights = zip(*columns) if columns else [()] * len(packed)
+        return dict(zip(weights, packed.values()))
+
+
+def _pairings(keys: Iterable[int], packing: _Packing, coroot: Sequence[int]) -> list[int]:
+    """<mu, alpha-check> = sum of g_i mu_i for each packed weight mu, read
+    from its digits one coordinate at a time."""
+    off, r = packing.offset, packing.radix
+    base = packing.radius * sum(coroot)
+    total: list[int] = []
+    for p, g in zip(packing.places, coroot):
+        if not g:
+            continue
+        if not total:
+            total = [g * ((key + off) // p % r) - base for key in keys]
+        else:
+            total = list(map(add, total, [g * ((key + off) // p % r) for key in keys]))
+    return total
+
+
+def _string_quotient(
+    terms: Mapping[int, int], packing: _Packing, root: Root, shift: int | None = None
+) -> dict[int, int]:
+    """One pass over the alpha-strings of packed terms: divide by
+    (1 - e^{-alpha}), after forming a divided-difference numerator when shift
+    is given. Every weight met must lie in the packing's box (module
+    docstring).
 
     A term e^mu sits on the string through rep = mu - k alpha at position
     k = <mu, alpha-check> // 2, so t0 = <rep, alpha-check> is 0 or 1 and s_alpha
@@ -300,55 +390,49 @@ def _string_quotient(u: CharElt, root: Root, shift: int | None = None) -> CharEl
     divided-difference numerator always does, so a residue there raises
     InternalInvariantError; otherwise it raises NotDivisible.
     """
-    alpha = root.weight_coords
-    f = root.coroot
-    multiples: dict[int, Weight] = {}
-    strings: dict[Weight, dict[int, int]] = {}
-    for mu, c in u._terms.items():
-        k = sum(map(mul, f, mu)) // 2
-        ka = multiples.get(k)
-        if ka is None:
-            ka = multiples[k] = tuple([k * a for a in alpha])
-        rep = tuple(map(sub, mu, ka))
+    step = packing.key(root.weight_coords)
+    strings: dict[int, dict[int, int]] = {}
+    parities: list[int] = []  # t0 of each string, in the order of strings
+    for (key, c), n in zip(terms.items(), _pairings(terms, packing, root.coroot)):
+        k = n >> 1
+        rep = key - k * step
         line = strings.get(rep)
         if line is None:
             strings[rep] = {k: c}
+            parities.append(n & 1)
         else:
             line[k] = c
-    out: dict[Weight, int] = {}
-    for rep, line in strings.items():
-        get = line.get
-        kmax = max(line)
-        kmin = min(line)
-        running = 0
-        if shift is None:
-            for p in range(kmax, kmin, -1):
+    out: dict[int, int] = {}
+    if shift is None:
+        for rep, line in strings.items():
+            get = line.get
+            kmin = min(line)
+            running = 0
+            for p in range(max(line), kmin, -1):
                 running += get(p, 0)
                 if running:
-                    ka = multiples.get(p)
-                    if ka is None:
-                        ka = multiples[p] = tuple([p * a for a in alpha])
-                    out[tuple(map(add, rep, ka))] = running
+                    out[rep + p * step] = running
             residue = running + line[kmin]
             if residue:
-                raise NotDivisible(f"coset through {rep} has residue {residue}")
-            continue
-        m = sum(map(mul, f, rep)) + shift
-        hi = max(kmax, -kmin - m)
+                raise NotDivisible(f"coset through {packing.weight(rep)} has residue {residue}")
+        return out
+    for (rep, line), t0 in zip(strings.items(), parities):
+        get = line.get
+        m = t0 + shift
+        hi = max(max(line), -min(line) - m)
         lo = -hi - m
+        running = 0
         for p in range(hi, lo, -1):
             running += get(p, 0) - get(-p - m, 0)
             if running:
-                ka = multiples.get(p)
-                if ka is None:
-                    ka = multiples[p] = tuple([p * a for a in alpha])
-                out[tuple(map(add, rep, ka))] = running
+                out[rep + p * step] = running
         residue = running + get(lo, 0) - get(hi, 0)
         if residue:
             raise InternalInvariantError(
-                f"divided-difference numerator on the string through {rep} has residue {residue}"
+                f"divided-difference numerator on the string through {packing.weight(rep)} "
+                f"has residue {residue}"
             )
-    return CharElt._raw(out)
+    return out
 
 
 def divide_exact(u: CharElt, root: Root) -> CharElt:
@@ -360,9 +444,15 @@ def divide_exact(u: CharElt, root: Root) -> CharElt:
     (q_k) -> (q_k - q_{k+1}), so the quotient is the top-down cumulative sum;
     the string divides exactly iff its coefficients sum to zero, which makes
     failure detection deterministic. This is _string_quotient without a
-    numerator step.
+    numerator step, on a packing whose box holds every mu and s_alpha(mu):
+    each rep lies between them, and each quotient term between two terms of
+    u on its string.
     """
-    return _string_quotient(u, root)
+    # s_alpha(mu) = mu - <mu, alpha-check> alpha has |s_alpha(mu)_i| at most
+    # M_i + |alpha_i| * sum |f_k| M_k, with f the coroot functional
+    largest = max(map(abs, root.weight_coords), default=0)
+    packing = _Packing.around(u._terms, [1 + largest * abs(g) for g in root.coroot])
+    return CharElt._raw(packing.unpack(_string_quotient(packing.pack(u._terms), packing, root)))
 
 
 def divide_exact_general(numerator: CharElt, divisor: CharElt) -> CharElt:

@@ -22,11 +22,15 @@ weight coordinate), its number of terms and the bit length of its
 coefficients, each bounded from the support box and the coefficients of u,
 must stay within MAX_POWER_DEGREE, MAX_POWER_TERMS and MAX_POWER_BITS, or
 the parser raises ParseError. A product u*v is checked the same way for
-the bit length of its coefficients, against MAX_POWER_BITS.
+the bit length of its coefficients, against MAX_POWER_BITS, and so is the
+product of the multipliers m[...] composed in one operator expression. An
+integer literal longer than the interpreter converts
+(sys.get_int_max_str_digits()) is a ParseError too.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 from .charring import CharElt, monomial
@@ -113,8 +117,7 @@ class _Parser:
 
     def signed_int(self) -> int:
         neg = self.accept("-")
-        tok = self.expect("INT", "an integer")
-        value = int(tok.text)
+        value = _int(self.expect("INT", "an integer"))
         return -value if neg else value
 
     def int_list(self, opener: Token) -> tuple[int, ...]:
@@ -150,7 +153,7 @@ class _Parser:
             if star is None:
                 return out
             factor = self.char_factor()
-            _check_product_bits(out, factor, star.pos)
+            _check_product_bits(_abs_bounds(out), _abs_bounds(factor), star.pos)
             out = out * factor
 
     def char_factor(self) -> CharElt:
@@ -169,7 +172,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            return CharElt.one(self.rank) * int(tok.text)
+            return CharElt.one(self.rank) * _int(tok)
         if tok.kind == "NAME" and tok.text == "e":
             self.advance()
             opener = self.expect("[", "'['")
@@ -184,10 +187,18 @@ class _Parser:
     # operator grammar
 
     def op_expr(self) -> OpExpr:
+        # every multiplier of one word scales the result, whatever acts between them
         out = self.op_atom()
-        while self.accept("*"):
-            out = out * self.op_atom()
-        return out
+        scale = _multiplier_bounds(out)
+        while True:
+            star = self.accept("*")
+            if star is None:
+                return out
+            atom = self.op_atom()
+            bounds = _multiplier_bounds(atom)
+            if bounds is not None:
+                scale = bounds if scale is None else _check_product_bits(scale, bounds, star.pos)
+            out = out * atom
 
     def op_atom(self) -> OpExpr:
         tok = self.peek()
@@ -197,7 +208,7 @@ class _Parser:
             self.advance()
             self.expect("[", "'['")
             index_tok = self.expect("INT", "a simple-root index")
-            j = int(index_tok.text)
+            j = _int(index_tok)
             if not 1 <= j <= self.rank:
                 raise ParseError(
                     f"index {j} out of range 1..{self.rank} at position {index_tok.pos}"
@@ -257,22 +268,53 @@ def _check_power_size(base: CharElt, n: int, pos: int) -> None:
             )
 
 
-def _check_product_bits(a: CharElt, b: CharElt, pos: int) -> None:
+def _int(tok: Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError:
+        # the tokenizer takes any Unicode digit, and int() refuses some
+        # (such as '²') and any run longer than its limit
+        limit = sys.get_int_max_str_digits()
+        if limit and len(tok.text) > limit:
+            raise ParseError(
+                f"integer at position {tok.pos} has {len(tok.text)} digits, over the limit {limit}"
+            ) from None
+        raise ParseError(f"{tok.text!r} at position {tok.pos} is not a decimal integer") from None
+
+
+def _abs_bounds(u: CharElt) -> tuple[int, int]:
+    """The sum and the largest of |c| over the terms of u."""
+    abs_c = [abs(c) for _, c in u.items()] or [0]
+    return sum(abs_c), max(abs_c)
+
+
+def _multiplier_bounds(op: OpExpr) -> tuple[int, int] | None:
+    """_abs_bounds of the element of a single m[...] atom; None for other atoms."""
+    (atom,) = op.atoms
+    return None if atom.elt is None else _abs_bounds(atom.elt)
+
+
+def _check_product_bits(a: tuple[int, int], b: tuple[int, int], pos: int) -> tuple[int, int]:
     """Raise ParseError if a coefficient of a*b may pass MAX_POWER_BITS.
+
+    a and b are the _abs_bounds of the factors, and the same bounds of a*b
+    are returned, so that products of several factors can be checked.
 
     A coefficient of a*b sums c*d over pairs of terms whose weights add up
     to one weight; each term of a meets at most one term of b there, so it
     is at most (sum of |c| over a) * (largest |d| over b) in absolute value,
-    and likewise with a and b swapped.
+    and likewise with a and b swapped. The sum of |coefficients| of a*b is
+    at most the product of the sums.
     """
-    abs_a = [abs(c) for _, c in a.items()] or [0]
-    abs_b = [abs(d) for _, d in b.items()] or [0]
-    bits = min(sum(abs_a) * max(abs_b), sum(abs_b) * max(abs_a)).bit_length()
+    (sum_a, max_a), (sum_b, max_b) = a, b
+    largest = min(sum_a * max_b, sum_b * max_a)
+    bits = largest.bit_length()
     if bits > MAX_POWER_BITS:
         raise ParseError(
             f"product at position {pos} is too large: its coefficient bits may reach {bits}, "
             f"over the limit {MAX_POWER_BITS}"
         )
+    return sum_a * sum_b, largest
 
 
 def parse_char_expression(text: str, rank: int) -> CharElt:

@@ -198,7 +198,9 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[Root, ...]:
         return Root(rc, wc, co)
 
     found: dict[Weight, Root] = {r.root_coords: r for r in simples}
-    bound = 4 * n * n
+    # one sweep per root height, and a last one that finds nothing new (the
+    # only one at rank 0)
+    bound = 4 * n * n + 1
     for _ in range(bound):
         new: list[Root] = []
         for root in found.values():

@@ -288,3 +288,57 @@ def test_antisymmetrize_matches_the_sum_over_w(name):
     for _ in range(4):
         u = random_char_elt(rng, datum.rank, nterms=8, span=3) + special
         assert antisymmetrize(datum, u) == antisymmetrize_reference(datum, u)
+
+
+DATA = {name: build_root_datum(name) for name in NAMED_TYPES}
+HUGE = 10**40
+
+
+@st.composite
+def division_cases(draw):
+    """A positive root beta of one of the nine types, and two small elements
+    moved by one far weight (coordinates 0 or +-10^40): a quotient, and an
+    element that is a multiple of 1 - e^{-beta} plus a remainder, which may
+    be zero or cancel against it."""
+    datum = DATA[draw(st.sampled_from(NAMED_TYPES))]
+    root = draw(st.sampled_from(datum.positive_roots))
+    far = monomial(draw(st.tuples(*[st.sampled_from([0, HUGE, -HUGE, HUGE + 1])] * datum.rank)))
+    small = st.tuples(*[st.integers(-3, 3)] * datum.rank)
+    quotient, nearby, rest = (
+        CharElt(draw(st.dictionaries(small, st.integers(-2, 2), max_size=size))) for size in (5, 4, 2)
+    )
+    factor = CharElt.one(datum.rank) - monomial(tuple(-c for c in root.weight_coords))
+    return root, far * quotient, far * (nearby * factor + rest)
+
+
+@given(division_cases())
+def test_divide_exact_matches_long_division(case):
+    root, quotient, other = case
+    factor = CharElt.one(len(root.coroot)) - monomial(tuple(-c for c in root.weight_coords))
+    multiple = quotient * factor
+    assert divide_exact(multiple, root) == quotient == divide_exact_general(multiple, factor)
+    # long division stops within the spread of the support, which is small
+    try:
+        expected = divide_exact_general(other, factor)
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            divide_exact(other, root)
+    else:
+        assert divide_exact(other, root) == expected
+
+
+@pytest.mark.parametrize(
+    "name,index,u,message",
+    [
+        ("A1", 0, monomial((1,)), "coset through (1,) has residue 1"),
+        ("B2", 2, 3 * monomial((-3, 2)) + monomial((1, -5)), "coset through (-1, 2) has residue 3"),
+        ("G2", 5, monomial((-7, 4), -2) + monomial((HUGE, -HUGE)), "coset through (-7, 4) has residue -2"),
+        ("D4", 3, monomial((0, -2, 5, 1)) - monomial((0, -2, 5, 0)), "coset through (0, -2, 5, 1) has residue 1"),
+        # the representative (0, 10) + 5 * (3, -2) lies outside the box of the support
+        ("G2", 1, monomial((0, 10)), "coset through (15, 0) has residue 1"),
+    ],
+)
+def test_not_divisible_names_the_string(name, index, u, message):
+    with pytest.raises(NotDivisible) as err:
+        divide_exact(u, DATA[name].positive_roots[index])
+    assert str(err.value) == message

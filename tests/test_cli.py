@@ -291,6 +291,11 @@ def test_domain_errors_exit_one(capsys, argv):
         # products of powers within their own bound
         ("apply", "A1", "m[2^9999*2^9999]", "e[0]"),
         ("decompose", "A1", "(2^9999*e[1]+2^9999*e[-1])*(2^9999*e[1]+2^9999*e[-1])"),
+        # composed multipliers, and integer literals longer than int() reads
+        ("apply", "A1", "m[2^9999]*m[2^9999]", "e[0]"),
+        ("apply", "A1", "m[2^9999]*w[1]*m[2^9999]", "e[0]"),
+        ("char", "A1", "1" * 5000),
+        ("decompose", "A1", "1" * 5000 + "*e[0]"),
     ],
 )
 def test_huge_powers_exit_one_quickly(capsys, argv):

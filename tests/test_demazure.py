@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weylkit import demazure
-from weylkit.charring import CharElt, monomial, weyl_act, weyl_act_simple
+from weylkit.charring import CharElt, divide_exact_general, monomial, weyl_act, weyl_act_simple
 from weylkit.demazure import (
     alternating_quotient,
     delta,
@@ -64,6 +66,91 @@ def test_string_kernel_matches_the_defining_quotients(name):
             reflected = weyl_act(group.simple(j), u)
             assert delta(datum, j, u) * (one - shift) == u - shift * reflected
             assert delta_prime(datum, j, u) * (one - shift) == u - reflected
+
+
+DATA = {name: build_root_datum(name) for name in NAMED_TYPES}
+HUGE = 10**40
+
+
+def delta_reference(datum, j, u, shift):
+    # (u - e^{-alpha} s(u)) / (1 - e^{-alpha}) for shift 1, (u - s(u)) / (1 - e^{-alpha}) for 0
+    one = CharElt.one(datum.rank)
+    down = monomial(tuple(-c for c in datum.simple_root(j).weight_coords))
+    reflected = weyl_act_simple(datum, j, u)
+    return divide_exact_general(u - (down * reflected if shift else reflected), one - down)
+
+
+@st.composite
+def simple_root_cases(draw):
+    """A simple root alpha_j of one of the nine types and a small element
+    moved by a far weight: every coordinate but the j-th may be +-10^40, so
+    the alpha_j-strings stay short while the packing grows. Half of the
+    elements have the form v - s_j(v), whose coefficients cancel."""
+    datum = DATA[draw(st.sampled_from(NAMED_TYPES))]
+    j = draw(st.integers(1, datum.rank))
+    far = tuple(
+        0 if i == j - 1 else draw(st.sampled_from([0, HUGE, -HUGE, HUGE + 1])) for i in range(datum.rank)
+    )
+    small = st.tuples(*[st.integers(-4, 4)] * datum.rank)
+    u = monomial(far) * CharElt(draw(st.dictionaries(small, st.integers(-2, 2), max_size=6)))
+    if draw(st.booleans()):
+        u = u - weyl_act_simple(datum, j, u)
+    return datum, j, u
+
+
+@given(simple_root_cases())
+def test_delta_and_delta_prime_match_the_defining_quotients(case):
+    datum, j, u = case
+    assert delta(datum, j, u) == delta_reference(datum, j, u, 1)
+    assert delta_prime(datum, j, u) == delta_reference(datum, j, u, 0)
+
+
+@st.composite
+def word_cases(draw):
+    """An element of one of the nine types, with coordinates in [-2, 2]
+    ([-1, 1] from rank 3 on, where top(u) grows fast), and a group element."""
+    datum = DATA[draw(st.sampled_from(NAMED_TYPES))]
+    span = 2 if datum.rank < 3 else 1
+    small = st.tuples(*[st.integers(-span, span)] * datum.rank)
+    u = CharElt(draw(st.dictionaries(small, st.integers(-2, 2), max_size=4)))
+    return datum, u, draw(st.sampled_from(weyl_group(datum).elements))
+
+
+@given(word_cases())
+def test_packed_words_match_single_steps_and_the_weyl_route(case):
+    # a whole word runs on one packing; composing delta_j one at a time
+    # packs at each step
+    datum, u, w = case
+    for op, word_op in ((delta, partial), (delta_prime, partial_prime)):
+        expected = u
+        for j in reversed(w.word):
+            expected = op(datum, j, expected)
+        assert word_op(datum, w, u, strict=False) == expected
+    assert top(datum, u, strict=False) == top(datum, u, strict=False, method="weyl")
+
+
+@pytest.mark.parametrize("name", NAMED_TYPES)
+def test_strict_top_equals_non_strict(name):
+    # D4's longest element has 2316 reduced words, so it gets one small term
+    datum = DATA[name]
+    rng = random.Random(f"strict:{name}")
+    nterms = 1 if name == "D4" else 3
+    u = random_char_elt(rng, datum.rank, nterms=nterms, span=1)
+    assert top(datum, u, strict=True) == top(datum, u, strict=False)
+
+
+def test_rank_zero_and_zero_input():
+    point = build_root_datum([])
+    five = 5 * CharElt.one(0)
+    for method in ("demazure", "weyl", "both"):
+        assert top(point, five, method=method) == five
+        assert top(point, CharElt.zero(), method=method) == CharElt.zero()
+    for name in NAMED_TYPES:
+        datum = DATA[name]
+        assert top(datum, CharElt.zero(), method="both") == CharElt.zero()
+        for j in range(1, datum.rank + 1):
+            assert delta(datum, j, CharElt.zero()) == CharElt.zero()
+            assert delta_prime(datum, j, CharElt.zero()) == CharElt.zero()
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
@@ -185,17 +272,19 @@ def test_word_values_disagreeing_raise_internal_error():
 
 def test_strict_mode_catches_a_broken_braid_relation(monkeypatch):
     # doubling delta_1 breaks delta_1 delta_2 delta_1 == delta_2 delta_1 delta_2:
-    # the two reduced words of w0 in A2 give 4 top(u) and 2 top(u)
+    # the two reduced words of w0 in A2 give 4 top(u) and 2 top(u). The break
+    # goes into the packed string kernel, which every route runs through.
     datum = build_root_datum("A2")
     w0 = weyl_group(datum).longest
     one = CharElt.one(2)
-    real_delta = demazure.delta
+    real_kernel = demazure._string_quotient
+    alpha_1 = datum.simple_root(1)
 
-    def broken(datum, alpha, u):
-        out = real_delta(datum, alpha, u)
-        return out * 2 if alpha == 1 else out
+    def broken(terms, packing, root, shift=None):
+        out = real_kernel(terms, packing, root, shift)
+        return {key: 2 * c for key, c in out.items()} if root == alpha_1 else out
 
-    monkeypatch.setattr(demazure, "delta", broken)
+    monkeypatch.setattr(demazure, "_string_quotient", broken)
     with pytest.raises(WordMismatch):
         partial(datum, w0, one, strict=True)
     with pytest.raises(WordMismatch):

@@ -103,6 +103,10 @@ def test_negative_power_of_sum_propagates_not_divisible():
         ("", 1, "an integer, 'e[...]', or '('"),
         ("e[1]+", 1, "end of input"),
         ("(e[1]", 1, "')'"),
+        # int() refuses more digits than its limit (4300 by default) and some
+        # Unicode digits that the tokenizer accepts
+        ("e[0]+" + "1" * 5000, 1, "integer at position 5 has 5000 digits, over the limit"),
+        ("e[²]", 1, "'²' at position 2 is not a decimal integer"),
     ],
 )
 def test_char_errors_carry_position_and_expectation(text, rank, fragment):
@@ -136,12 +140,25 @@ def test_operator_round_trip():
         ("d[1] d[1]", 1, "unexpected trailing"),
         ("d[x]", 1, "a simple-root index"),
         ("m[d[1]]", 1, "an integer, 'e[...]', or '('"),
+        ("d[" + "1" * 5000 + "]", 1, "integer at position 2 has 5000 digits"),
+        # the multipliers of one word are bounded as one product, also when
+        # other operators act between them
+        ("m[2^9999]*m[2^9999]", 1, "product at position 9 is too large"),
+        ("m[2^9999]*d[1]*w[1]*m[2^9999]", 1, "product at position 19 is too large"),
+        ("m[2^5000]*top*m[2^4000]*m[2^4000]", 1, "product at position 23 is too large"),
     ],
 )
 def test_operator_errors(text, rank, fragment):
     with pytest.raises(ParseError) as err:
         parse_operator_expression(text, rank)
     assert fragment in str(err.value)
+
+
+def test_operator_multipliers_within_the_bound():
+    # 2^9999 has MAX_POWER_BITS bits: it may be composed with small multipliers
+    expr = parse_operator_expression("m[2^9999]*d[1]*m[e[1]-1]*m[-1]", 1)
+    assert [a.kind for a in expr.atoms] == ["m", "d", "m", "m"]
+    assert parse_operator_expression("m[2^5000]*m[2^4999]", 1).atoms[1].elt == monomial((0,), 2**4999)
 
 
 def test_parse_weight_forms():
