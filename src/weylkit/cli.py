@@ -4,9 +4,10 @@ Verbs: info, apply, char, decompose, invariant-check, steinberg, induce,
 cover, selftest. Groups are named types (A1 A2 A3 B2 B3 C2 C3 D4 G2) or a
 JSON Cartan matrix. Weights are integer lists in fundamental coordinates.
 
-Exit codes: 0 success; 1 domain errors (bad input, parse failures,
-non-invariant elements) and usage errors; 2 internal invariant violations,
-which always indicate a bug in the package rather than in the input.
+Exit codes: 0 success; 1 domain errors (every WeylkitError: bad input, parse
+failures, non-invariant elements) and usage errors; 2 anything else, internal
+invariant violations included, which always indicates a bug in the package
+rather than in the input and is reported in one line on stderr.
 
 Output is deterministic for fixed inputs and seed: dictionaries are emitted
 in sorted or structurally fixed order, JSON is compact with no whitespace,
@@ -54,14 +55,26 @@ def _dumps(obj: object) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _int_matrix(text: str, what: str) -> list[list[int]]:
+    """A JSON list of equal-length lists of integers (not booleans or floats)."""
+    try:
+        matrix = json.loads(text)
+    except ValueError as exc:  # also an integer longer than int() reads
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
+    if not (
+        isinstance(matrix, list)
+        and all(isinstance(row, list) for row in matrix)
+        and len({len(row) for row in matrix}) <= 1
+        and all(type(c) is int for row in matrix for c in row)
+    ):
+        raise ParseError(f"{what} must be a list of equal-length lists of integers")
+    return matrix
+
+
 def _load_datum(spec: str) -> RootDatum:
     text = spec.strip()
     if text.startswith("["):
-        try:
-            matrix = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"group matrix is not valid JSON: {exc}") from exc
-        return build_root_datum(matrix)
+        return build_root_datum(_int_matrix(text, "group matrix"))
     return build_root_datum(text)
 
 
@@ -103,8 +116,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 def _cmd_apply(args: argparse.Namespace) -> int:
     datum = _load_datum(args.group)
-    op = parse_operator_expression(args.operator, datum.rank)
     u = parse_char_expression(args.expr, datum.rank)
+    op = parse_operator_expression(args.operator, datum.rank, operand=u)
     result = op.apply(datum, u, strict=True if args.strict else None)
     _emit(args, [str(result)], {"result": result.to_json()})
     return 0
@@ -201,11 +214,7 @@ def _cmd_steinberg(args: argparse.Namespace) -> int:
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
-    try:
-        matrix = json.loads(args.matrix)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"cover matrix is not valid JSON: {exc}") from exc
-    cover = build_cover(matrix)
+    cover = build_cover(_int_matrix(args.matrix, "cover matrix"))
     u = parse_char_expression(args.expr, cover.rank)
     if args.action == "pullback":
         result = pullback(cover, u)
@@ -314,12 +323,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         return args.fn(args)
-    except InternalInvariantError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (WeylkitError, ValueError, IndexError) as exc:
+    except WeylkitError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # InternalInvariantError or any other library bug
+        message = " ".join(str(exc).splitlines())
+        print(f"{type(exc).__name__}: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,9 +25,17 @@ pack and unpack per call.
 
 delta is idempotent with delta(1) = 1; delta_prime is idempotent with
 delta_prime(1) = 0; delta = delta_prime + s.
-Compositions along a reduced word depend only on the group element, which
-strict mode verifies by recomputing along every reduced word, one delta at a
-time. The operator for the longest element projects onto Weyl invariants and
+
+Compositions along a reduced word depend only on the group element
+(Matsumoto's theorem). Strict mode checks this in one walk over the elements
+x below w in the left weak order (_walk): each x gets delta_j of the value at
+s_j x from every left descent j, and any two that differ raise WordMismatch.
+The paths from e to w through these edges are the reduced words of w, so
+agreement on every edge gives, by induction on length, agreement along every
+word. The walk takes |W| rank / 2 steps for the longest element, on the same
+packing; hecke.to_basis runs it for top on operators.
+
+The operator for the longest element projects onto Weyl invariants and
 agrees with the quotient A(u)/d of the antisymmetrization by the Weyl
 denominator (the Weyl character formula route); `top` can compute either or
 both.
@@ -36,6 +44,7 @@ both.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable, TypeVar
 
 from .config import resolve_strict
 from .charring import CharElt, _Packing, _string_quotient, antisymmetrize
@@ -51,6 +60,8 @@ __all__ = [
     "alternating_quotient",
     "top",
 ]
+
+T = TypeVar("T")
 
 
 def _simple_index(datum: RootDatum, alpha: int | Root) -> int:
@@ -76,61 +87,85 @@ def _packing(datum: RootDatum, u: CharElt) -> _Packing:
     return _Packing.around(u._terms, _coroot_bound(datum))
 
 
-def _apply_word(datum: RootDatum, word: tuple[int, ...], u: CharElt, shift: int) -> CharElt:
-    # word (j1, ..., jl) denotes op_{j1} o ... o op_{jl}: rightmost acts first
+def _walk(datum: RootDatum, w: WeylElt, start: T, step: Callable[[int, T], T], strict: bool | None) -> T:
+    """step(j1, step(j2, ... step(jl, start))) for a reduced word (j1, ..., jl)
+    of w: the rightmost letter acts first.
+
+    Not strict, the steps run along w.word. Strict, the walk visits every x
+    below w in the left weak order, shortest first, and gives x the value
+    step(j, value of s_j x) from every left descent j of x (those with
+    l(s_j x) < l(x), read off as the negative coordinates of x(rho)). The
+    paths from e to w through these edges are the reduced words of w, so if
+    every x gets one value from all its descents, every reduced word of w
+    gives the same composite; the first disagreement raises WordMismatch.
+    """
+    if not resolve_strict(strict):
+        value = start
+        for j in reversed(w.word):
+            value = step(j, value)
+        return value
+    by_key = weyl_group(datum).by_key
+
+    def descents(x: WeylElt) -> list[tuple[int, WeylElt]]:
+        return [
+            (j, by_key[datum.reflect_simple(j, x.key)])
+            for j, c in enumerate(x.key, 1)
+            if c < 0
+        ]
+
+    levels = [[w]]  # the elements below w, one list per length, down to [e]
+    while levels[-1][0].length:
+        below = {y.key: y for x in levels[-1] for _, y in descents(x)}
+        levels.append(list(below.values()))
+    values = {levels.pop()[0].key: start}
+    for level in reversed(levels):
+        above = {}
+        for x in level:
+            (j, y), *others = descents(x)
+            value = step(j, values[y.key])
+            for k, z in others:
+                if step(k, values[z.key]) != value:
+                    raise WordMismatch(
+                        f"reduced words {(j, *y.word)} and {(k, *z.word)} of one group element disagree"
+                    )
+            above[x.key] = value
+        values = above
+    return values[w.key]
+
+
+def _divided(
+    datum: RootDatum, u: CharElt, shift: int, w: int | WeylElt, strict: bool | None = None
+) -> CharElt:
+    """delta (shift 1) or delta' (shift 0) of u for the simple index or along
+    the group element w, on one packing (module docstring)."""
     packing = _packing(datum, u)
+
+    def step(j: int, terms: dict[int, int]) -> dict[int, int]:
+        return _string_quotient(terms, packing, datum.simple_root(j), shift)
+
     terms = packing.pack(u._terms)
-    for j in reversed(word):
-        terms = _string_quotient(terms, packing, datum.simple_root(j), shift)
+    terms = step(w, terms) if isinstance(w, int) else _walk(datum, w, terms, step, strict)
     return CharElt._raw(packing.unpack(terms))
 
 
 def delta(datum: RootDatum, alpha: int | Root, u: CharElt) -> CharElt:
     """The isobaric divided difference for a simple root (index or Root)."""
-    return _apply_word(datum, (_simple_index(datum, alpha),), u, 1)
+    return _divided(datum, u, 1, _simple_index(datum, alpha))
 
 
 def delta_prime(datum: RootDatum, alpha: int | Root, u: CharElt) -> CharElt:
     """The bare divided difference; kills invariants, delta_prime(1) = 0."""
-    return _apply_word(datum, (_simple_index(datum, alpha),), u, 0)
-
-
-def _compose(datum: RootDatum, word: tuple[int, ...], u: CharElt, op) -> CharElt:
-    # word (j1, ..., jl) denotes op_{j1} o ... o op_{jl}: rightmost acts first
-    v = u
-    for j in reversed(word):
-        v = op(datum, j, v)
-    return v
-
-
-def _along_words(
-    datum: RootDatum, w: WeylElt, u: CharElt, op, strict: bool | None
-) -> CharElt:
-    if not resolve_strict(strict):
-        return _compose(datum, w.word, u, op)
-    words = weyl_group(datum).all_reduced_words(w)
-    first = _compose(datum, words[0], u, op)
-    for word in words[1:]:
-        other = _compose(datum, word, u, op)
-        if other != first:
-            raise WordMismatch(
-                f"words {words[0]} and {word} disagree: {first} vs {other}"
-            )
-    return first
+    return _divided(datum, u, 0, _simple_index(datum, alpha))
 
 
 def partial(datum: RootDatum, w: WeylElt, u: CharElt, strict: bool | None = None) -> CharElt:
     """Composition of delta along (any) reduced word of w."""
-    if resolve_strict(strict):
-        return _along_words(datum, w, u, delta, True)
-    return _apply_word(datum, w.word, u, 1)
+    return _divided(datum, u, 1, w, strict)
 
 
 def partial_prime(datum: RootDatum, w: WeylElt, u: CharElt, strict: bool | None = None) -> CharElt:
     """Composition of delta_prime along (any) reduced word of w."""
-    if resolve_strict(strict):
-        return _along_words(datum, w, u, delta_prime, True)
-    return _apply_word(datum, w.word, u, 0)
+    return _divided(datum, u, 0, w, strict)
 
 
 def alternating_quotient(datum: RootDatum, u: CharElt) -> CharElt:

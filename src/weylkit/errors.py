@@ -2,7 +2,8 @@
 
 Everything user-facing derives from WeylkitError (CLI exit code 1).
 InternalInvariantError marks states the library promises are impossible;
-the CLI maps it to exit code 2.
+the CLI maps it, like any other exception outside WeylkitError, to exit
+code 2.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .charring import CharElt, is_weyl_invariant, monomial, weyl_act_simple
-from .demazure import _along_words, delta, delta_prime, partial, top
+from .demazure import _walk, delta, delta_prime, partial, top
 from .rootdata import RootDatum
 from .weyl import WeylElt, weyl_group
 
@@ -201,7 +201,7 @@ def _compose_left(datum: RootDatum, atom: OpAtom, op: HeckeOp, strict: bool | No
         return _combine((atom.elt, op))
     if atom.kind == "top":
         w0 = weyl_group(datum).longest
-        return _along_words(datum, w0, op, _delta_left, strict)
+        return _walk(datum, w0, op, lambda j, v: _delta_left(datum, j, v), strict)
     if atom.kind == "d":
         return _delta_left(datum, atom.index, op)
     if atom.kind in ("w", "dp"):
@@ -224,8 +224,11 @@ def to_basis(datum: RootDatum, op: OpExpr, strict: bool | None = None) -> HeckeO
     m_{e^alpha_j} - m_{e^alpha_j - 1} o delta_j; delta'_j is
     m_{e^alpha_j} o delta_j - m_{e^alpha_j}; top composes delta_j along a
     reduced word of the longest element. Only ring operations are used, so
-    nothing is solved. In strict mode top is composed along every reduced
-    word and the results compared, raising WordMismatch on a disagreement.
+    nothing is solved. In strict mode top runs demazure's walk over the
+    whole weak order instead: every element x is composed from each of its
+    left descents j as delta_j o (value at s_j x), and two values that
+    differ raise WordMismatch; agreement on every edge is agreement along
+    every reduced word of the longest element.
     """
     result = HeckeOp({weyl_group(datum).identity: CharElt.one(datum.rank)})
     for atom in reversed(op.atoms):

@@ -23,9 +23,11 @@ coefficients, each bounded from the support box and the coefficients of u,
 must stay within MAX_POWER_DEGREE, MAX_POWER_TERMS and MAX_POWER_BITS, or
 the parser raises ParseError. A product u*v is checked the same way for
 the bit length of its coefficients, against MAX_POWER_BITS, and so is the
-product of the multipliers m[...] composed in one operator expression. An
-integer literal longer than the interpreter converts
-(sys.get_int_max_str_digits()) is a ParseError too.
+product of the multipliers m[...] composed in one operator expression,
+together with the element the operator is applied to when one is given. A
+sum u+v or u-v is checked at the coefficients it changes. An integer
+literal longer than the interpreter converts (sys.get_int_max_str_digits())
+is a ParseError too.
 """
 
 from __future__ import annotations
@@ -139,12 +141,14 @@ class _Parser:
         if negate:
             out = -out
         while True:
-            if self.accept("+"):
-                out = out + self.char_term()
-            elif self.accept("-"):
-                out = out - self.char_term()
-            else:
+            sign = self.accept("+") or self.accept("-")
+            if sign is None:
                 return out
+            term = self.char_term()
+            out = out + term if sign.kind == "+" else out - term
+            # the sum changes only the coefficients on the support of term
+            changed = max((abs(out.coefficient(mu)) for mu in term.support()), default=0)
+            _check_bits("sum", changed, sign.pos)
 
     def char_term(self) -> CharElt:
         out = self.char_factor()
@@ -186,19 +190,22 @@ class _Parser:
 
     # operator grammar
 
-    def op_expr(self) -> OpExpr:
-        # every multiplier of one word scales the result, whatever acts between them
-        out = self.op_atom()
-        scale = _multiplier_bounds(out)
+    def op_expr(self, operand: CharElt | None) -> OpExpr:
+        # every multiplier of one word scales the result, whatever acts
+        # between them, and so do the coefficients of the operand
+        scale = None if operand is None else _abs_bounds(operand)
+        out = OpExpr(())
+        pos = self.peek().pos
         while True:
-            star = self.accept("*")
-            if star is None:
-                return out
             atom = self.op_atom()
             bounds = _multiplier_bounds(atom)
             if bounds is not None:
-                scale = bounds if scale is None else _check_product_bits(scale, bounds, star.pos)
+                scale = bounds if scale is None else _check_product_bits(scale, bounds, pos)
             out = out * atom
+            star = self.accept("*")
+            if star is None:
+                return out
+            pos = star.pos
 
     def op_atom(self) -> OpExpr:
         tok = self.peek()
@@ -308,13 +315,19 @@ def _check_product_bits(a: tuple[int, int], b: tuple[int, int], pos: int) -> tup
     """
     (sum_a, max_a), (sum_b, max_b) = a, b
     largest = min(sum_a * max_b, sum_b * max_a)
+    _check_bits("product", largest, pos)
+    return sum_a * sum_b, largest
+
+
+def _check_bits(what: str, largest: int, pos: int) -> None:
+    """Raise ParseError if largest, a bound on the coefficients of the sum
+    or product at pos, has more than MAX_POWER_BITS bits."""
     bits = largest.bit_length()
     if bits > MAX_POWER_BITS:
         raise ParseError(
-            f"product at position {pos} is too large: its coefficient bits may reach {bits}, "
+            f"{what} at position {pos} is too large: its coefficient bits may reach {bits}, "
             f"over the limit {MAX_POWER_BITS}"
         )
-    return sum_a * sum_b, largest
 
 
 def parse_char_expression(text: str, rank: int) -> CharElt:
@@ -324,9 +337,11 @@ def parse_char_expression(text: str, rank: int) -> CharElt:
     return out
 
 
-def parse_operator_expression(text: str, rank: int) -> OpExpr:
+def parse_operator_expression(text: str, rank: int, operand: CharElt | None = None) -> OpExpr:
+    """The operator of text; with operand, the element it will be applied to,
+    its multipliers are bounded together with the operand's coefficients."""
     parser = _Parser(text, rank)
-    out = parser.op_expr()
+    out = parser.op_expr(operand)
     parser.finish("operator expression")
     return out
 

@@ -78,6 +78,9 @@ def _validate_cartan(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
                 raise NotFiniteType(f"off-diagonal entry A[{i+1}][{j+1}] must be <= 0")
             if (rows[i][j] == 0) != (rows[j][i] == 0):
                 raise NotFiniteType(f"zero pattern not symmetric at ({i+1},{j+1})")
+            # finite type allows 0..3; this also keeps the minors below small
+            if rows[i][j] * rows[j][i] > 3:
+                raise NotFiniteType(f"A[{i+1}][{j+1}] * A[{j+1}][{i+1}] exceeds 3")
     for k in range(1, n + 1):
         minor = determinant([r[:k] for r in rows[:k]])
         if minor <= 0:

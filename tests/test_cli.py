@@ -1,5 +1,6 @@
 """CLI behaviour: output shapes, schema conformance, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -270,6 +271,16 @@ def test_repeated_runs_byte_identical(capsys):
         ("decompose", "A1", "e[1"),  # parse error
         ("cover", "pullback", "e[1]", "--matrix", "[[0]]"),  # singular cover
         ("cover", "pullback", "e[1]", "--matrix", "[[2"),  # broken JSON matrix
+        # JSON matrices hold integers only, in a list of equal-length lists
+        ("info", "[[2.0]]"),
+        ("info", "[[true]]"),
+        ("info", "[1]"),
+        ("info", "[[2,-1],[-1]]"),
+        ("cover", "pullback", "e[1]", "--matrix", "[[1.5]]"),
+        ("cover", "pullback", "e[1]", "--matrix", "[1]"),
+        ("cover", "pullback", "e[1]", "--matrix", '[["2"]]'),
+        # off-diagonal products beyond any finite type, too long to print as minors
+        ("info", "[[2,-%s],[-%s,2]]" % ("9" * 4000, "9" * 4000)),
     ],
 )
 def test_domain_errors_exit_one(capsys, argv):
@@ -296,6 +307,9 @@ def test_domain_errors_exit_one(capsys, argv):
         ("apply", "A1", "m[2^9999]*w[1]*m[2^9999]", "e[0]"),
         ("char", "A1", "1" * 5000),
         ("decompose", "A1", "1" * 5000 + "*e[0]"),
+        # the multipliers times the element, and sums of literals
+        ("apply", "A1", "m[2^9999]", "2^9999*e[0]"),
+        ("decompose", "A1", "9" * 4300 + "+" + "9" * 4300),
     ],
 )
 def test_huge_powers_exit_one_quickly(capsys, argv):
@@ -305,6 +319,36 @@ def test_huge_powers_exit_one_quickly(capsys, argv):
     assert code == 1
     assert out == ""
     assert "ParseError" in err
+
+
+def test_library_bugs_exit_two(capsys, monkeypatch):
+    # an exception that is not a WeylkitError is a bug in the package, not
+    # in the input: exit 2 with one line on stderr
+    import weylkit.cli as cli
+
+    def broken(datum, u, strict=None):
+        raise ValueError("broken\ninside")
+
+    monkeypatch.setattr(cli, "induce", broken)
+    code, out, err = run_cli(capsys, "induce", "A1", "e[1]")
+    assert code == 2
+    assert out == ""
+    assert err == "ValueError: broken inside\n"
+
+
+def test_cli_pool_prints_the_recorded_bytes(capsys):
+    # every command of the benchmark's pool, with its stdout digest recorded
+    # when the pool was made, both with strict mode on and off
+    from weylkit.config import set_strict_default
+
+    pool = json.loads((Path(__file__).parents[1] / "perfbench" / "cli_pool.json").read_text())
+    assert len(pool) == 144
+    for strict in (True, False):
+        set_strict_default(strict)
+        for entry in pool:
+            code, out, err = run_cli(capsys, *entry["argv"])
+            assert code == 0, (entry["argv"], err)
+            assert hashlib.sha256(out.encode()).hexdigest() == entry["stdout_sha256"], entry["argv"]
 
 
 def test_usage_errors_exit_one(capsys):

@@ -131,12 +131,38 @@ def test_packed_words_match_single_steps_and_the_weyl_route(case):
 
 @pytest.mark.parametrize("name", NAMED_TYPES)
 def test_strict_top_equals_non_strict(name):
-    # D4's longest element has 2316 reduced words, so it gets one small term
     datum = DATA[name]
     rng = random.Random(f"strict:{name}")
-    nterms = 1 if name == "D4" else 3
-    u = random_char_elt(rng, datum.rank, nterms=nterms, span=1)
+    u = random_char_elt(rng, datum.rank, nterms=3, span=1)
     assert top(datum, u, strict=True) == top(datum, u, strict=False)
+
+
+@given(word_cases())
+def test_strict_words_equal_non_strict(case):
+    datum, u, w = case
+    for word_op in (partial, partial_prime):
+        assert word_op(datum, w, u, strict=True) == word_op(datum, w, u, strict=False)
+
+
+def test_strict_top_runs_one_kernel_pass_per_weak_order_edge(monkeypatch):
+    # the edges x -> s_j x over the left descents j of every x in D4 number
+    # |W| rank / 2 = 192 * 4 / 2; composing along all 2316 reduced words of
+    # w0 took 2316 * 12 = 27 792 passes
+    datum = DATA["D4"]
+    real_kernel = demazure._string_quotient
+    calls = []
+
+    def counting(terms, packing, root, shift=None):
+        calls.append(root)
+        return real_kernel(terms, packing, root, shift)
+
+    monkeypatch.setattr(demazure, "_string_quotient", counting)
+    u = random_char_elt(random.Random("strict-cost"), datum.rank, nterms=1, span=1)
+    top(datum, u, strict=True)
+    assert len(calls) == 384
+    calls.clear()
+    top(datum, u, strict=False)
+    assert len(calls) == 12
 
 
 def test_rank_zero_and_zero_input():
@@ -262,6 +288,19 @@ def test_conjugation_identity_rank_one():
         u = random_char_elt(rng, 1)
         for w in group:
             assert partial_prime(A1, w, u) == erho * partial(A1, w, erho_inv * u)
+
+
+def test_walk_names_two_reduced_words_on_a_mismatch():
+    # a step that records its letters tells every reduced word apart
+    datum = build_root_datum("A2")
+    w0 = weyl_group(datum).longest
+
+    def record(j, word):
+        return (j,) + word
+
+    assert demazure._walk(datum, w0, (), record, strict=False) == w0.word
+    with pytest.raises(WordMismatch, match=r"reduced words \(1, 2, 1\) and \(2, 1, 2\)"):
+        demazure._walk(datum, w0, (), record, strict=True)
 
 
 def test_word_values_disagreeing_raise_internal_error():

@@ -81,6 +81,9 @@ def test_power_size_guard():
         (f"(3*e[1])^{MAX_POWER_DEGREE}", 1, "coefficient bits"),
         ("2^9999*2^9999", 1, "product at position 6 .* coefficient bits"),
         ("(2^9999*e[1]+2^9999*e[-1])*e[0]*(e[1]+e[-1])", 1, "product at position 31"),
+        # a sum is checked at the coefficients it changes
+        ("2^9999+2^9999", 1, "sum at position 6 .* 10001"),
+        ("e[1]-2^9999*e[0]-2^9999", 1, "sum at position 16"),
     ]:
         with pytest.raises(ParseError, match=what):
             parse_char_expression(text, rank)
@@ -152,6 +155,21 @@ def test_operator_errors(text, rank, fragment):
     with pytest.raises(ParseError) as err:
         parse_operator_expression(text, rank)
     assert fragment in str(err.value)
+
+
+def test_sums_within_the_bound():
+    x = monomial((1,))
+    assert parse_char_expression("2^9999*e[1]+2^9999*e[-1]", 1) == 2**9999 * (x + x**-1)
+    assert parse_char_expression("2^9999-1+1", 1) == 2**9999 * CharElt.one(1)
+
+
+def test_operator_multipliers_bounded_with_the_operand():
+    small, big = monomial((1,)) - monomial((-1,)), monomial((0,), 2**9999)
+    assert parse_operator_expression("m[2^9999]*d[1]", 1, operand=small).atoms[0].elt == big
+    assert parse_operator_expression("d[1]", 1, operand=big * big) == OpExpr.d(1)
+    for text, fragment in [("m[2^9999]", "product at position 0"), ("d[1]*m[1]*m[2]", "product at position 9")]:
+        with pytest.raises(ParseError, match=fragment):
+            parse_operator_expression(text, 1, operand=big)
 
 
 def test_operator_multipliers_within_the_bound():

@@ -6,7 +6,6 @@ import pytest
 
 from weylkit.charring import CharElt, monomial
 from weylkit.demazure import top
-from weylkit.config import set_strict_default
 from weylkit.errors import FreenessCheckFailed, InternalInvariantError, NotInvariant
 import weylkit.repring as repring
 from weylkit.repring import (
@@ -153,11 +152,6 @@ def test_restrict_induce_round_trip():
 READ_OFF_GROUPS = ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D4"]
 
 
-def _strict_for(datum):
-    # strict top on D4 composes all 2316 reduced words of w0 per call (minutes)
-    return datum.rank <= 3
-
-
 def _dominant_weights(rng, rank, hi, count):
     return {tuple(rng.randint(0, hi) for _ in range(rank)) for _ in range(count)}
 
@@ -165,7 +159,6 @@ def _dominant_weights(rng, rank, hi, count):
 @pytest.mark.parametrize("name", READ_OFF_GROUPS)
 def test_decompose_virtual_invariants_restricts_back(name):
     datum = build_root_datum(name)
-    strict = _strict_for(datum)
     rng = random.Random(f"read-off:{name}")
     top_entry = 2 if datum.rank <= 2 else 1
     for _ in range(3):
@@ -175,20 +168,20 @@ def test_decompose_virtual_invariants_restricts_back(name):
         }
         u = CharElt.zero()
         for lam, c in expected.items():
-            u = u + irreducible_character(datum, lam, strict=strict) * c
-        dec = decompose_into_irreducibles(datum, u, strict=strict)
+            u = u + irreducible_character(datum, lam) * c
+        dec = decompose_into_irreducibles(datum, u)
         assert dec == IrredDecomp(expected)
-        assert restrict(datum, dec, strict=strict) == u
+        assert restrict(datum, dec) == u
     # chi_lambda - chi_mu with mu a dominant weight of chi_lambda: the two
     # characters cancel at every weight of chi_mu
     lam = (top_entry + 1,) * datum.rank
-    chi = irreducible_character(datum, lam, strict=strict)
+    chi = irreducible_character(datum, lam)
     lower = [mu for mu in chi.support() if datum.is_dominant(mu) and mu != lam]
     mu = rng.choice(lower)
-    u = chi - irreducible_character(datum, mu, strict=strict)
-    dec = decompose_into_irreducibles(datum, u, strict=strict)
+    u = chi - irreducible_character(datum, mu)
+    dec = decompose_into_irreducibles(datum, u)
     assert dec == IrredDecomp({lam: 1, mu: -1})
-    assert restrict(datum, dec, strict=strict) == u
+    assert restrict(datum, dec) == u
 
 
 @pytest.mark.parametrize("name", READ_OFF_GROUPS)
@@ -207,7 +200,7 @@ def test_induce_is_decomposition_of_top(name):
     ]
     seeded = [random_char_elt(rng, rank, nterms=4, span=2) for _ in range(3)]
     for u in fixed + seeded:
-        expected = top(datum, u, strict=_strict_for(datum), method="both")
+        expected = top(datum, u, method="both")
         assert induce(datum, u) == decompose_into_irreducibles(datum, expected)
     assert induce(datum, fixed[0]) == IrredDecomp({})
     assert induce(datum, fixed[1]) == IrredDecomp({})
@@ -342,8 +335,6 @@ def test_decompose_reconstruct_round_trip(name):
     datum = build_root_datum(name)
     rng = random.Random(f"steinberg:{name}")
     if name == "D4":
-        # strict characters compose 2316 reduced words each on D4
-        set_strict_default(False)
         elements = [monomial((1, 0, 0, 0)), monomial((-1, 1, 0, -1), 2)]
     else:
         # span 1 on rank 3 keeps the strict characters of the coordinates small
