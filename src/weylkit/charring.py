@@ -5,45 +5,36 @@ dict with tuple keys. Coefficients are Python ints, so all arithmetic is
 exact at arbitrary size. Zero coefficients are never stored; equality is
 plain dict equality; the canonical human-readable form lists terms in
 lexicographically descending weight order (leading term first), while JSON
-serialization lists them ascending.
+serialization lists them ascending. That container, _TermMap, is shared
+with repring.IrredDecomp, an element of R(G) keyed by highest weights.
 
-A product of two elements with at least two terms each runs on packed
-weights (Kronecker substitution). With lo_i and hi_i the smallest and
-largest i-th coordinate over the product's box (the sums of the factors'
-extremes), coordinate i gets the radix r_i = hi_i - lo_i + 1 and the
-place value P_i = r_0 * ... * r_{i-1}, and a weight mu packs to the int
-sum of mu_i * P_i. Packing is additive, so the packed product weight is
-the sum of the packed factor weights. It is injective on the box: there
-mu packs to sum lo_i * P_i plus sum d_i * P_i with every digit
-d_i = mu_i - lo_i in [0, r_i), and mixed-radix digits in range are unique,
-read back as d_i = (key // P_i) % r_i. Python ints do not overflow, so this
-holds for any coordinates and needs no size check.
+Products and the alpha-string kernel behind divide_exact and the divided
+differences (_string_quotient) run on packed weights: a _Packing of radius
+B holds every weight whose coordinates lie in [-B, B], and with R = 2B + 1
+it maps mu to the int sum of mu_i * R^i, whose balanced base-R digits in
+[-B, B] are the coordinates. Packing is linear, so the key of mu + nu is
+the sum of the keys of mu and nu, and the string through mu steps its key
+by the packed root; the key of a weight in the box unpacks back to it, and
+the pairing <mu, alpha-check> is read from its digits. Python ints do not
+overflow, so any B works, and each caller takes a B that holds every weight
+it meets, with no size check or fallback:
 
-The alpha-string kernel behind divide_exact and the divided differences
-(_string_quotient) runs on packed weights too, with one radius B for every
-coordinate: with R = 2B + 1, mu packs to the int sum of mu_i * R^i, whose
-balanced base-R digits in [-B, B] are the coordinates. Packing is linear,
-so the string through mu steps its key by the packed root, and the pairing
-<mu, alpha-check> is read from the digits. B is exact by construction: with
-M_i the largest |mu_i| over the support of u, B is at least the sum of
-|beta-check_i| * M_i for every positive root beta (demazure takes
-sum c_i M_i, with c_i the largest such coefficient, which for an
-irreducible datum the highest coroot attains). A point nu of the convex
-hull of the W-orbit of the support has nu_i = <nu, alpha_i-check>, which at
-a vertex w mu is +-<mu, gamma-check> for a positive coroot gamma-check, so
-|nu_i| <= B. Every output of delta_j and delta'_j lies in
-that hull (on a segment [mu, s_j mu]), and so does every string
-representative (on [mu, s_beta mu]) and every quotient of an exact division
-(between two terms of its numerator's string). One packing therefore serves
-a whole word of operators, or all the divisions of A(u) by the Weyl
-denominator, with no size check or fallback; a single divide_exact bounds
-only mu and s_alpha mu. A weight with a negative coordinate round-trips:
-
->>> packing = _Packing(2, 3)  # R = 7
->>> packing.key((-2, 3))  # -2 + 3 * 7
-19
->>> packing.weight(19)
-(-2, 3)
+- A product of two elements with at least two terms each takes B as the
+  largest |mu_i| + |nu_i| over the two factors, which bounds every
+  coordinate of every product weight.
+- The kernel takes B at least the sum of |beta-check_i| * M_i for every
+  positive root beta, with M_i the largest |mu_i| over the support of u
+  (demazure takes sum c_i M_i, with c_i the largest such coefficient, which
+  for an irreducible datum the highest coroot attains). A point nu of the
+  convex hull of the W-orbit of the support has nu_i = <nu, alpha_i-check>,
+  which at a vertex w mu is +-<mu, gamma-check> for a positive coroot
+  gamma-check, so |nu_i| <= B. Every output of delta_j and delta'_j lies in
+  that hull (on a segment [mu, s_j mu]), and so does every string
+  representative (on [mu, s_beta mu]) and every quotient of an exact
+  division (between two terms of its numerator's string). One packing
+  therefore serves a whole word of operators, or all the divisions of A(u)
+  by the Weyl denominator; a single divide_exact bounds only mu and
+  s_alpha mu.
 
 >>> x = monomial((1,))
 >>> (x + x**-1) * (x - x**-1) == x**2 - x**-2
@@ -73,10 +64,17 @@ __all__ = [
 ]
 
 
-class CharElt:
-    """A virtual character of the maximal torus, as a sparse Laurent element."""
+class _TermMap:
+    """A finite map from integer weights to nonzero integers, summed on
+    construction; the container of CharElt and repring.IrredDecomp.
+
+    Text lists the terms as _PREFIX[weight], and JSON lists them ascending
+    under _JSON_KEY. Maps of different classes never compare equal.
+    """
 
     __slots__ = ("_terms",)
+    _PREFIX = "e"
+    _JSON_KEY = "terms"
 
     def __init__(self, terms: Mapping[Sequence[int], int] | Iterable[tuple[Sequence[int], int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -91,25 +89,17 @@ class CharElt:
         self._terms = clean
 
     @classmethod
-    def _raw(cls, terms: dict[Weight, int]) -> "CharElt":
+    def _raw(cls, terms: dict[Weight, int]):
         # trusted constructor: tuple keys, no zero values
         elt = cls.__new__(cls)
         elt._terms = terms
         return elt
 
-    @classmethod
-    def zero(cls) -> "CharElt":
-        return cls._raw({})
-
-    @classmethod
-    def one(cls, rank: int) -> "CharElt":
-        return cls._raw({(0,) * rank: 1})
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, CharElt):
+        if type(other) is type(self):
             return self._terms == other._terms
         return NotImplemented
 
@@ -121,11 +111,49 @@ class CharElt:
     def items(self) -> Iterator[tuple[Weight, int]]:
         return iter(self._terms.items())
 
-    def support(self) -> tuple[Weight, ...]:
-        return tuple(sorted(self._terms))
-
     def coefficient(self, weight: Sequence[int]) -> int:
         return self._terms.get(tuple(weight), 0)
+
+    def __str__(self) -> str:
+        """Terms in descending weight order, as e.g. "2*e[1,0] - e[0,-1]";
+        "0" when there are none."""
+        parts: list[str] = []
+        for mu in sorted(self._terms, reverse=True):
+            c = self._terms[mu]
+            mono = self._PREFIX + "[" + ",".join(str(x) for x in mu) + "]"
+            body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+    def to_json(self) -> dict:
+        return {
+            self._JSON_KEY: [
+                {"w": list(mu), "c": self._terms[mu]} for mu in sorted(self._terms)
+            ]
+        }
+
+
+class CharElt(_TermMap):
+    """A virtual character of the maximal torus, as a sparse Laurent element."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls) -> "CharElt":
+        return cls._raw({})
+
+    @classmethod
+    def one(cls, rank: int) -> "CharElt":
+        return cls._raw({(0,) * rank: 1})
+
+    def support(self) -> tuple[Weight, ...]:
+        return tuple(sorted(self._terms))
 
     def __add__(self, other: "CharElt") -> "CharElt":
         if not isinstance(other, CharElt):
@@ -160,10 +188,9 @@ class CharElt:
         When one factor is zero or a monomial the product is a shift of the
         other. Otherwise every weight is packed into one int (module
         docstring), so a pair of terms costs one int addition and one dict
-        update, and only the nonzero sums are unpacked. Here both supports
-        lie in the box [0,1]^2, the product's in [0,2]^2, so the radices are
-        3 and 3, the place values 1 and 3, and e[a,b] packs to a + 3b; the
-        two terms at 1 + 3 = 4 cancel:
+        update, and only the nonzero sums are unpacked. Here every factor
+        coordinate is at most 1 in absolute value, so the radius is 2, R = 5
+        and e[a,b] packs to a + 5b; the two terms at 1 + 5 = 6 cancel:
 
         >>> x, y = monomial((1, 0)), monomial((0, 1))
         >>> print((x + y) * (x - y))
@@ -184,33 +211,18 @@ class CharElt:
                 return CharElt.zero()
             ((mu, c),) = a.items()
             return CharElt._raw({tuple(map(add, mu, nu)): c * d for nu, d in b.items()})
-        digits = []  # (place value, radix, lowest product coordinate)
-        places = []
-        place = 1
-        offset = 0
-        for xs, ys in zip(zip(*a), zip(*b)):
-            low = min(xs) + min(ys)
-            radix = max(xs) + max(ys) - low + 1
-            digits.append((place, radix, low))
-            places.append(place)
-            offset += low * place
-            place *= radix
-        # the offset rides on b, so a packed sum is the digit expansion itself
-        packed_b = [(sum(map(mul, nu, places)) - offset, d) for nu, d in b.items()]
+        bounds = [max(map(abs, xs)) + max(map(abs, ys)) for xs, ys in zip(zip(*a), zip(*b))]
+        packing = _Packing(len(bounds), max(bounds))
+        packed_b = packing.pack(b).items()
         sums: dict[int, int] = {}
         get = sums.get
-        for mu, c in a.items():
-            k = sum(map(mul, mu, places))
+        for k, c in packing.pack(a).items():
             for kb, d in packed_b:
                 key = k + kb
                 sums[key] = get(key, 0) + c * d
-        return CharElt._raw(
-            {
-                tuple([key // p % r + low for p, r, low in digits]): v
-                for key, v in sums.items()
-                if v
-            }
-        )
+        for key in [key for key, v in sums.items() if not v]:
+            del sums[key]
+        return CharElt._raw(packing.unpack(sums))
 
     __rmul__ = __mul__
 
@@ -239,37 +251,9 @@ class CharElt:
                 base = base * base
         return result  # type: ignore[return-value]
 
-    def __str__(self) -> str:
-        return format_terms(self._terms, "e")
-
-    def __repr__(self) -> str:
-        return f"CharElt({str(self)})"
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"w": list(mu), "c": self._terms[mu]} for mu in sorted(self._terms)
-            ]
-        }
-
     @classmethod
     def from_json(cls, payload: Mapping) -> "CharElt":
         return cls((tuple(t["w"]), t["c"]) for t in payload["terms"])
-
-
-def format_terms(terms: Mapping[Weight, int], prefix: str) -> str:
-    """Terms in descending weight order, as e.g. "2*e[1,0] - e[0,-1]" with
-    prefix "e"; "0" when there are none."""
-    parts: list[str] = []
-    for mu in sorted(terms, reverse=True):
-        c = terms[mu]
-        mono = prefix + "[" + ",".join(str(x) for x in mu) + "]"
-        body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) or "0"
 
 
 def monomial(weight: Sequence[int], coeff: int = 1) -> CharElt:
@@ -316,7 +300,16 @@ class _Packing:
 
     With R = 2 * radius + 1, a weight mu packs to the int sum of mu_i * R^i,
     whose balanced base-R digits in [-radius, radius] are the coordinates
-    (module docstring).
+    (module docstring). A weight with a negative coordinate round-trips, and
+    the keys of two weights add up to the key of their sum:
+
+    >>> packing = _Packing(2, 3)  # R = 7
+    >>> packing.key((-2, 3))  # -2 + 3 * 7
+    19
+    >>> packing.weight(19)
+    (-2, 3)
+    >>> packing.key((-2, 3)) + packing.key((1, -1)) == packing.key((-1, 2))
+    True
     """
 
     __slots__ = ("radius", "radix", "places", "offset")

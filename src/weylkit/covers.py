@@ -17,6 +17,7 @@ and sends 0 to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -37,11 +38,18 @@ class CoverDatum:
     u_inv: tuple[tuple[int, ...], ...]
     diag: tuple[int, ...]
     v: tuple[tuple[int, ...], ...]
-    coset_reps: tuple[Weight, ...]
 
     @property
     def index(self) -> int:
         return abs(self.det)
+
+    @cached_property
+    def coset_reps(self) -> tuple[Weight, ...]:
+        """One representative per coset, U^{-1} y for y in the box of D,
+        built on first use: there are |det M| of them."""
+        return tuple(
+            tuple(mat_vec(self.u_inv, list(y))) for y in product(*[range(d) for d in self.diag])
+        )
 
     def reduce(self, point: Sequence[int]) -> tuple[Weight, Weight]:
         """Split a lattice point as rep + M*k; returns (rep, k)."""
@@ -61,20 +69,14 @@ def build_cover(matrix: Sequence[Sequence[int]]) -> CoverDatum:
     if det == 0:
         raise SingularMatrix("cover matrix must have nonzero determinant")
     U, U_inv, D, V = smith_normal_form(rows)
-    diag = tuple(D[i][i] for i in range(rank))
-    reps = tuple(
-        tuple(mat_vec(U_inv, list(y)))
-        for y in product(*[range(d) for d in diag])
-    )
     return CoverDatum(
         rank=rank,
         matrix=tuple(tuple(row) for row in rows),
         det=det,
         u=tuple(tuple(row) for row in U),
         u_inv=tuple(tuple(row) for row in U_inv),
-        diag=diag,
+        diag=tuple(D[i][i] for i in range(rank)),
         v=tuple(tuple(row) for row in V),
-        coset_reps=reps,
     )
 
 

@@ -17,17 +17,19 @@ Operator expressions (the rightmost factor acts first):
 Weight lists accept "2", "1,0", or "[1,0]". All integers are decimal; the
 number of coordinates must match the rank of the group in use.
 
-A power u^n is checked before it is taken: its degree (largest absolute
-weight coordinate), its number of terms and the bit length of its
-coefficients, each bounded from the support box and the coefficients of u,
-must stay within MAX_POWER_DEGREE, MAX_POWER_TERMS and MAX_POWER_BITS, or
-the parser raises ParseError. A product u*v is checked the same way for
-the bit length of its coefficients, against MAX_POWER_BITS, and so is the
-product of the multipliers m[...] composed in one operator expression,
-together with the element the operator is applied to when one is given. A
-sum u+v or u-v is checked at the coefficients it changes. An integer
-literal longer than the interpreter converts (sys.get_int_max_str_digits())
-is a ParseError too.
+The parser bounds what it builds, and raises ParseError past a bound.
+The degree of an element is its largest absolute weight coordinate. Every
+weight written in e[...] or given to parse_weight has degree at most
+MAX_POWER_DEGREE. A power u^n is checked before it is taken: its degree,
+its number of terms and the bit length of its coefficients, each bounded
+from the support box and the coefficients of u, must stay within
+MAX_POWER_DEGREE, MAX_POWER_TERMS and MAX_POWER_BITS. A product u*v is
+checked for its degree, at most the sum of the factors' degrees, and for
+the bit length of its coefficients, and so is the product of the
+multipliers m[...] composed in one operator expression, together with the
+element the operator is applied to when one is given. A sum u+v or u-v is
+checked at the coefficients it changes. An integer literal longer than the
+interpreter converts (sys.get_int_max_str_digits()) is a ParseError too.
 """
 
 from __future__ import annotations
@@ -131,6 +133,7 @@ class _Parser:
             raise ParseError(
                 f"expected {self.rank} coordinates at position {opener.pos}, got {len(coords)}"
             )
+        _check_size("weight", opener.pos, "degree", max(map(abs, coords)), MAX_POWER_DEGREE)
         return tuple(coords)
 
     # character grammar
@@ -148,7 +151,7 @@ class _Parser:
             out = out + term if sign.kind == "+" else out - term
             # the sum changes only the coefficients on the support of term
             changed = max((abs(out.coefficient(mu)) for mu in term.support()), default=0)
-            _check_bits("sum", changed, sign.pos)
+            _check_size("sum", sign.pos, "coefficient bits", changed.bit_length(), MAX_POWER_BITS)
 
     def char_term(self) -> CharElt:
         out = self.char_factor()
@@ -157,7 +160,7 @@ class _Parser:
             if star is None:
                 return out
             factor = self.char_factor()
-            _check_product_bits(_abs_bounds(out), _abs_bounds(factor), star.pos)
+            _check_product(_sizes(out), _sizes(factor), star.pos)
             out = out * factor
 
     def char_factor(self) -> CharElt:
@@ -191,16 +194,17 @@ class _Parser:
     # operator grammar
 
     def op_expr(self, operand: CharElt | None) -> OpExpr:
-        # every multiplier of one word scales the result, whatever acts
-        # between them, and so do the coefficients of the operand
-        scale = None if operand is None else _abs_bounds(operand)
+        # every multiplier of one word multiplies the result, whatever acts
+        # between them, and so does the operand
+        scale = None if operand is None else _sizes(operand)
         out = OpExpr(())
         pos = self.peek().pos
         while True:
             atom = self.op_atom()
-            bounds = _multiplier_bounds(atom)
-            if bounds is not None:
-                scale = bounds if scale is None else _check_product_bits(scale, bounds, pos)
+            elt = atom.atoms[0].elt  # an atom is a one-atom word
+            if elt is not None:
+                sizes = _sizes(elt)
+                scale = sizes if scale is None else _check_product(scale, sizes, pos)
             out = out * atom
             star = self.accept("*")
             if star is None:
@@ -264,15 +268,9 @@ def _check_power_size(base: CharElt, n: int, pos: int) -> None:
 
         terms = min(terms, comb(len(support) + n - 1, n))
     bits = n * (sum(abs(c) for _, c in base.items()) - 1).bit_length()
-    for what, value, cap in (
-        ("degree", degree, MAX_POWER_DEGREE),
-        ("terms", terms, MAX_POWER_TERMS),
-        ("coefficient bits", bits, MAX_POWER_BITS),
-    ):
-        if value > cap:
-            raise ParseError(
-                f"power at position {pos} is too large: its {what} may reach {value}, over the limit {cap}"
-            )
+    _check_size("power", pos, "degree", degree, MAX_POWER_DEGREE)
+    _check_size("power", pos, "terms", terms, MAX_POWER_TERMS)
+    _check_size("power", pos, "coefficient bits", bits, MAX_POWER_BITS)
 
 
 def _int(tok: Token) -> int:
@@ -289,44 +287,40 @@ def _int(tok: Token) -> int:
         raise ParseError(f"{tok.text!r} at position {tok.pos} is not a decimal integer") from None
 
 
-def _abs_bounds(u: CharElt) -> tuple[int, int]:
-    """The sum and the largest of |c| over the terms of u."""
+def _sizes(u: CharElt) -> tuple[int, int, int]:
+    """The sum and the largest of |c| over the terms of u, and its degree."""
     abs_c = [abs(c) for _, c in u.items()] or [0]
-    return sum(abs_c), max(abs_c)
+    degree = max((abs(x) for mu, _ in u.items() for x in mu), default=0)
+    return sum(abs_c), max(abs_c), degree
 
 
-def _multiplier_bounds(op: OpExpr) -> tuple[int, int] | None:
-    """_abs_bounds of the element of a single m[...] atom; None for other atoms."""
-    (atom,) = op.atoms
-    return None if atom.elt is None else _abs_bounds(atom.elt)
+def _check_product(a: tuple[int, int, int], b: tuple[int, int, int], pos: int) -> tuple[int, int, int]:
+    """Raise ParseError if a coefficient of a*b may pass MAX_POWER_BITS, or
+    its degree MAX_POWER_DEGREE.
 
-
-def _check_product_bits(a: tuple[int, int], b: tuple[int, int], pos: int) -> tuple[int, int]:
-    """Raise ParseError if a coefficient of a*b may pass MAX_POWER_BITS.
-
-    a and b are the _abs_bounds of the factors, and the same bounds of a*b
-    are returned, so that products of several factors can be checked.
+    a and b are the _sizes of the factors, and bounds on the same sizes of
+    a*b are returned, so that products of several factors can be checked.
 
     A coefficient of a*b sums c*d over pairs of terms whose weights add up
     to one weight; each term of a meets at most one term of b there, so it
     is at most (sum of |c| over a) * (largest |d| over b) in absolute value,
     and likewise with a and b swapped. The sum of |coefficients| of a*b is
-    at most the product of the sums.
+    at most the product of the sums, and its degree at most the sum of the
+    degrees.
     """
-    (sum_a, max_a), (sum_b, max_b) = a, b
+    (sum_a, max_a, deg_a), (sum_b, max_b, deg_b) = a, b
     largest = min(sum_a * max_b, sum_b * max_a)
-    _check_bits("product", largest, pos)
-    return sum_a * sum_b, largest
+    _check_size("product", pos, "coefficient bits", largest.bit_length(), MAX_POWER_BITS)
+    _check_size("product", pos, "degree", deg_a + deg_b, MAX_POWER_DEGREE)
+    return sum_a * sum_b, largest, deg_a + deg_b
 
 
-def _check_bits(what: str, largest: int, pos: int) -> None:
-    """Raise ParseError if largest, a bound on the coefficients of the sum
-    or product at pos, has more than MAX_POWER_BITS bits."""
-    bits = largest.bit_length()
-    if bits > MAX_POWER_BITS:
+def _check_size(what: str, pos: int, quantity: str, value: int, cap: int) -> None:
+    """Raise ParseError if value, a bound on the quantity of the element
+    built at pos, is over cap."""
+    if value > cap:
         raise ParseError(
-            f"{what} at position {pos} is too large: its coefficient bits may reach {bits}, "
-            f"over the limit {MAX_POWER_BITS}"
+            f"{what} at position {pos} is too large: its {quantity} may reach {value}, over the limit {cap}"
         )
 
 
@@ -348,6 +342,7 @@ def parse_operator_expression(text: str, rank: int, operand: CharElt | None = No
 
 def parse_weight(text: str, rank: int) -> tuple[int, ...]:
     parser = _Parser(text, rank)
+    start = parser.peek().pos
     opener = parser.accept("[")
     coords = [parser.signed_int()]
     while parser.accept(","):
@@ -357,4 +352,5 @@ def parse_weight(text: str, rank: int) -> tuple[int, ...]:
     parser.finish("weight")
     if len(coords) != rank:
         raise ParseError(f"expected {rank} coordinates, got {len(coords)}")
+    _check_size("weight", start, "degree", max(map(abs, coords)), MAX_POWER_DEGREE)
     return tuple(coords)

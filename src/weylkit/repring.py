@@ -31,7 +31,7 @@ from functools import lru_cache
 from operator import sub
 from typing import Iterator, Mapping, Sequence
 
-from .charring import CharElt, _dominant_fold, format_terms, is_weyl_invariant, monomial
+from .charring import CharElt, _dominant_fold, _TermMap, is_weyl_invariant, monomial
 from .demazure import top
 from .errors import FreenessCheckFailed, InternalInvariantError, NotInvariant
 from .rootdata import RootDatum, Weight
@@ -51,64 +51,28 @@ __all__ = [
     "reconstruct_over_invariants",
 ]
 
-class IrredDecomp:
-    """A finite integer combination of irreducible characters (virtual ok)."""
+class IrredDecomp(_TermMap):
+    """A finite integer combination of irreducible characters (virtual ok).
 
-    __slots__ = ("_entries",)
+    It shares charring._TermMap, CharElt's container, with entries keyed by
+    dominant highest weights; it never equals a CharElt.
+    """
+
+    __slots__ = ()
+    _PREFIX = "chi"
+    _JSON_KEY = "entries"
 
     def __init__(self, entries: Mapping[Sequence[int], int] | Sequence[tuple[Sequence[int], int]] = ()):
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        clean: dict[Weight, int] = {}
-        for weight, mult in items:
-            key = tuple(int(c) for c in weight)
-            if any(c < 0 for c in key):
-                raise ValueError(f"highest weight {key} is not dominant")
-            value = clean.get(key, 0) + int(mult)
-            if value:
-                clean[key] = value
-            else:
-                clean.pop(key, None)
-        self._entries = clean
-
-    @classmethod
-    def _raw(cls, entries: dict[Weight, int]) -> "IrredDecomp":
-        # trusted constructor: dominant tuple keys, no zero values
-        dec = cls.__new__(cls)
-        dec._entries = entries
-        return dec
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IrredDecomp):
-            return self._entries == other._entries
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
+        entries = tuple(entries.items() if isinstance(entries, Mapping) else entries)
+        for weight, _ in entries:
+            if any(int(c) < 0 for c in weight):
+                raise ValueError(f"highest weight {tuple(map(int, weight))} is not dominant")
+        super().__init__(entries)
 
     def items(self) -> Iterator[tuple[Weight, int]]:
-        return iter(sorted(self._entries.items()))
+        return iter(sorted(self._terms.items()))
 
-    def multiplicity(self, weight: Sequence[int]) -> int:
-        return self._entries.get(tuple(weight), 0)
-
-    def __str__(self) -> str:
-        return format_terms(self._entries, "chi")
-
-    def __repr__(self) -> str:
-        return f"IrredDecomp({str(self)})"
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [
-                {"w": list(lam), "c": self._entries[lam]}
-                for lam in sorted(self._entries)
-            ]
-        }
+    multiplicity = _TermMap.coefficient
 
 
 def weyl_dimension(datum: RootDatum, weight: Sequence[int]) -> int:

@@ -310,6 +310,10 @@ def test_domain_errors_exit_one(capsys, argv):
         # the multipliers times the element, and sums of literals
         ("apply", "A1", "m[2^9999]", "2^9999*e[0]"),
         ("decompose", "A1", "9" * 4300 + "+" + "9" * 4300),
+        # weight coordinates: literals, and what the α-string walk would cross
+        ("decompose", "A1", "e[%s]*e[%s]+e[-%s]*e[-%s]" % (("9" * 4300,) * 4)),
+        ("invariant-check", "G2", "e[%s,0]" % ("9" * 4300)),
+        ("apply", "A1", "d[1]", "e[20000000]-e[19999998]"),
     ],
 )
 def test_huge_powers_exit_one_quickly(capsys, argv):

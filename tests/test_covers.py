@@ -1,6 +1,7 @@
 """Finite torus covers: coset splitting and pullback."""
 
 import random
+import time
 
 import pytest
 
@@ -26,9 +27,19 @@ def test_index_and_representatives():
     cover = build_cover([[2, 0], [0, 2]])
     assert cover.index == 4
     assert len(set(cover.coset_reps)) == 4
+    assert cover.coset_reps == ((0, 0), (0, 1), (1, 0), (1, 1))
     cover = build_cover([[1, 2], [3, 4]])
     assert cover.det == -2
     assert cover.index == 2
+    assert cover.coset_reps == ((0, 0), (0, -1))
+
+
+def test_pullback_does_not_enumerate_cosets():
+    # a million coset representatives are built only when something reads them
+    start = time.perf_counter()
+    lifted = pullback(build_cover([[10**6]]), monomial((1,)))
+    assert time.perf_counter() - start < 0.5
+    assert lifted == monomial((10**6,))
 
 
 def test_zero_maps_to_zero():

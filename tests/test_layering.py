@@ -1,4 +1,4 @@
-"""Import layering of the core modules, read from the source with ast."""
+"""Import layering of the package's modules, read from the source with ast."""
 
 import ast
 from pathlib import Path
@@ -7,9 +7,24 @@ import weylkit
 
 PACKAGE = Path(weylkit.__file__).parent
 
-# rootdata -> weyl -> charring -> demazure -> {hecke, repring}: a core module
-# may import only core modules of a strictly lower layer
-LAYERS = {"rootdata": 0, "weyl": 1, "charring": 2, "demazure": 3, "hecke": 4, "repring": 4}
+# {errors, intlinalg, config} -> rootdata -> weyl -> charring ->
+# {demazure, covers} -> {hecke, repring} -> parsing -> selftest -> cli: a
+# module may import only modules of a strictly lower layer
+LAYERS = {
+    "errors": 0,
+    "intlinalg": 0,
+    "config": 0,
+    "rootdata": 1,
+    "weyl": 2,
+    "charring": 3,
+    "demazure": 4,
+    "covers": 4,
+    "hecke": 5,
+    "repring": 5,
+    "parsing": 6,
+    "selftest": 7,
+    "cli": 8,
+}
 
 
 def package_imports(module: str) -> set[str]:
@@ -30,9 +45,13 @@ def package_imports(module: str) -> set[str]:
     return found
 
 
+def test_every_module_has_a_layer():
+    assert {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"} == LAYERS.keys()
+
+
 def test_core_modules_import_only_lower_layers():
     for module, layer in LAYERS.items():
-        for imported in package_imports(module) & LAYERS.keys():
+        for imported in package_imports(module):
             assert LAYERS[imported] < layer, f"{module} imports {imported}"
     # the two top layers are independent of each other
     assert "repring" not in package_imports("hecke")

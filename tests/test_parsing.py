@@ -89,6 +89,28 @@ def test_power_size_guard():
             parse_char_expression(text, rank)
 
 
+def test_weight_coordinates_are_bounded():
+    top, over = MAX_POWER_DEGREE, MAX_POWER_DEGREE + 1
+    assert parse_char_expression(f"e[{top},-{top}]", 2) == monomial((top, -top))
+    assert parse_char_expression(f"e[5000]*e[-{top - 5000}]", 1) == monomial((0,))
+    assert parse_weight(f"[-{top},0]", 2) == (-top, 0)
+    small = monomial((5000,))
+    assert parse_operator_expression("m[e[2500]]*d[1]*m[e[2500]]", 1, operand=small).atoms[0].elt == monomial((2500,))
+    for text, fragment in [
+        (f"e[0]+e[-{over}]", "weight at position 6 is too large: its degree may reach 10001"),
+        # a product's degree is bounded by the sum of its factors' degrees
+        (f"e[5000]*e[-{over - 5000}]", "product at position 7 .* degree may reach 10001"),
+        (f"(e[5000]+1)*(e[5001]-1)", "product at position 11 .* degree"),
+    ]:
+        with pytest.raises(ParseError, match=fragment):
+            parse_char_expression(text, 1)
+    with pytest.raises(ParseError, match="weight at position 1 .* 10001"):
+        parse_weight(f" [0,{over}]", 2)
+    for text in ("m[e[2500]]*d[1]*m[e[2501]]", f"m[e[{over - 5000}]]"):
+        with pytest.raises(ParseError, match="product at position .* degree"):
+            parse_operator_expression(text, 1, operand=small)
+
+
 def test_negative_power_of_sum_propagates_not_divisible():
     with pytest.raises(NotDivisible):
         parse_char_expression("(e[1]+e[0])^-1", 1)

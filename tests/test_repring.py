@@ -249,6 +249,20 @@ def test_irred_decomp_container():
     assert str(IrredDecomp({})) == "0"
     with pytest.raises(ValueError):
         IrredDecomp({(-1, 0): 1})
+    # dominance is checked before entries are summed
+    with pytest.raises(ValueError):
+        IrredDecomp([((-1,), 1), ((-1,), -1)])
+
+
+def test_irred_decomp_never_equals_a_char_elt():
+    # the two share one container class, but not equality or their names
+    terms = {(1, 0): 1, (0, 0): 2}
+    dec, elt = IrredDecomp(terms), CharElt(terms)
+    assert dec != elt and elt != dec
+    assert not dec == elt and not elt == dec
+    assert repr(dec) == "IrredDecomp(chi[1,0] + 2*chi[0,0])"
+    assert repr(elt) == "CharElt(e[1,0] + 2*e[0,0])"
+    assert elt.to_json() == {"terms": dec.to_json()["entries"]}
 
 
 def test_steinberg_weights_frozen():
