@@ -48,7 +48,7 @@ from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InternalInvariantError, NotDivisible
-from .rootdata import Root, RootDatum, Weight
+from .rootdata import Root, RootDatum, Weight, _walk_to_dominant
 from .weyl import WeylElt, weyl_group
 
 __all__ = [
@@ -286,13 +286,42 @@ def weyl_act_simple(datum: RootDatum, j: int, u: CharElt) -> CharElt:
 def is_weyl_invariant(
     datum: RootDatum, u: CharElt
 ) -> tuple[bool, tuple[int, CharElt] | None]:
-    """Whether u is fixed by W; checked on the simple reflections. On failure
-    returns the witness (j, s_j(u))."""
-    for j in range(1, datum.rank + 1):
-        image = weyl_act_simple(datum, j, u)
-        if image != u:
-            return False, (j, image)
+    """Whether u is fixed by W, checked on the simple reflections by
+    lookups into u alone (_fixed_by_simple). On failure returns the witness
+    (j, s_j(u)), the only element it builds."""
+    for j, column in enumerate(datum._simple_columns, 1):
+        if not _fixed_by_simple(u._terms, j - 1, column):
+            return False, (j, weyl_act_simple(datum, j, u))
     return True, None
+
+
+def _fixed_by_simple(
+    terms: Mapping[Weight, int], i: int, column: Sequence[tuple[int, int]]
+) -> bool:
+    """Whether s_j fixes the element with these terms, for j = i + 1 and
+    column the nonzero coordinates of alpha_j (RootDatum._simple_columns).
+
+    s_j negates the j-th coordinate, so it fixes the weights with mu_j = 0
+    and pairs those with mu_j > 0 and those with mu_j < 0. The element is
+    fixed exactly when every term mu with mu_j > 0 finds its coefficient at
+    s_j(mu), and the two sides hold equally many terms: the lookups make
+    s_j one-to-one from the first side into the second, and the counts make
+    it onto, so every term with mu_j < 0 is matched too.
+    """
+    get = terms.get
+    balance = 0
+    for mu, c in terms.items():
+        t = mu[i]
+        if t > 0:
+            balance += 1
+            image = list(mu)
+            for k, a in column:
+                image[k] -= t * a
+            if get(tuple(image)) != c:
+                return False
+        elif t < 0:
+            balance -= 1
+    return not balance
 
 
 class _Packing:
@@ -506,21 +535,27 @@ def weyl_denominator(datum: RootDatum) -> CharElt:
 def _dominant_fold(datum: RootDatum, u: CharElt) -> dict[Weight, int]:
     """The terms of e^rho u folded into the dominant chamber.
 
-    Each mu + rho is reflected to its dominant representative lambda, and c
-    is added at lambda with the sign (-1)^(number of reflections); a
+    Each mu + rho walks in place to its dominant representative lambda
+    (rootdata._walk_to_dominant, the walk of RootDatum.reflect_to_dominant),
+    and c is added at lambda with the sign (-1)^(number of reflections); a
     singular lambda (some coordinate 0) is dropped. The result holds the
     regular dominant weights whose coefficients do not cancel.
     """
     rho = datum.weyl_vector
+    columns = datum._simple_columns
+    bound = datum.num_positive_roots
     folded: dict[Weight, int] = {}
     for mu, c in u._terms.items():
-        lam, count = datum.reflect_to_dominant(tuple(map(add, mu, rho)))
+        lam = list(map(add, mu, rho))
+        if _walk_to_dominant(lam, columns, bound) & 1:
+            c = -c
         if all(lam):
-            v = folded.get(lam, 0) + (-c if count & 1 else c)
+            key = tuple(lam)
+            v = folded.get(key, 0) + c
             if v:
-                folded[lam] = v
+                folded[key] = v
             else:
-                del folded[lam]
+                del folded[key]
     return folded
 
 

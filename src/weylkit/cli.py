@@ -25,7 +25,13 @@ from .charring import CharElt
 from .covers import build_cover, decompose_cover, pullback
 from .errors import InternalInvariantError, ParseError, WeylkitError
 from .hecke import is_ideal_invariant, is_weyl_invariant
-from .parsing import parse_char_expression, parse_operator_expression, parse_weight
+from .parsing import (
+    MAX_POWER_DEGREE,
+    MAX_POWER_TERMS,
+    parse_char_expression,
+    parse_operator_expression,
+    parse_weight,
+)
 from .repring import (
     decompose_into_irreducibles,
     decompose_over_invariants,
@@ -214,7 +220,15 @@ def _cmd_steinberg(args: argparse.Namespace) -> int:
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
-    cover = build_cover(_int_matrix(args.matrix, "cover matrix"))
+    """Entries of the matrix are bounded like weight coordinates, and the
+    number of cosets decompose prints like the terms of a power."""
+    matrix = _int_matrix(args.matrix, "cover matrix")
+    largest = max((abs(c) for row in matrix for c in row), default=0)
+    if largest > MAX_POWER_DEGREE:
+        raise ParseError(f"cover matrix entries must be at most {MAX_POWER_DEGREE} in absolute value")
+    cover = build_cover(matrix)
+    if args.action == "decompose" and cover.index > MAX_POWER_TERMS:
+        raise ParseError(f"cover decompose would print |det M| > {MAX_POWER_TERMS} cosets")
     u = parse_char_expression(args.expr, cover.rank)
     if args.action == "pullback":
         result = pullback(cover, u)

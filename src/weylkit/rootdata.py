@@ -16,6 +16,7 @@ arbitrary (also non-simple) coroots stay exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InternalInvariantError, NotFiniteType, SafetyBoundExceeded
@@ -150,20 +151,29 @@ class RootDatum:
         return self.reflect_to_dominant(weight)[0]
 
     def reflect_to_dominant(self, weight: Sequence[int]) -> tuple[Weight, int]:
-        """The dominant representative and the number of simple reflections taken; (-1)^count is the sign.
+        """The dominant representative and the number of simple reflections
+        taken; (-1)^count is the sign.
 
-        Each reflection lowers by one the number of positive roots beta with
-        <lambda, beta-check> < 0, so the loop settles within |positive roots| steps.
+        A copy of the weight walks into the dominant chamber in place
+        (_walk_to_dominant), reflecting at its first negative coordinate:
+
+        >>> build_root_datum("A2").reflect_to_dominant((-1, 0))  # s_1, then s_2
+        ((0, 1), 2)
         """
-        lam = tuple(weight)
-        for count in range(len(self.positive_roots) + 1):
-            for j in range(1, self.rank + 1):
-                if lam[j - 1] < 0:
-                    lam = self.reflect_simple(j, lam)
-                    break
-            else:
-                return lam, count
-        raise InternalInvariantError("dominant-representative loop did not settle")
+        lam = list(weight)
+        count = _walk_to_dominant(lam, self._simple_columns, len(self.positive_roots))
+        return tuple(lam), count
+
+    @cached_property
+    def _simple_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each simple root alpha_j, the pairs (i, a) of its nonzero
+        fundamental-weight coordinates a = A[i][j], read from
+        positive_roots[:rank]: s_j(lambda) changes lambda only there, by
+        -lambda_j * a. Kept on the instance, as small callers fold often."""
+        return tuple(
+            tuple((i, a) for i, a in enumerate(root.weight_coords) if a)
+            for root in self.positive_roots[: self.rank]
+        )
 
     def two_rho_check(self) -> bool:
         """2 * rho equals the sum of all positive roots."""
@@ -172,6 +182,30 @@ class RootDatum:
             for i, c in enumerate(root.weight_coords):
                 total[i] += c
         return tuple(total) == tuple(2 * c for c in self.weyl_vector)
+
+
+def _walk_to_dominant(
+    lam: list[int], columns: Sequence[Sequence[tuple[int, int]]], bound: int
+) -> int:
+    """Reflect lam into the dominant chamber in place and return the number
+    of simple reflections taken; columns is RootDatum._simple_columns and
+    bound its number of positive roots.
+
+    Each step applies s_j at the first negative coordinate lam_j. s_j sends
+    alpha_j to -alpha_j and permutes the other positive roots, so the step
+    lowers by one the number of positive roots beta with <lam, beta-check> < 0,
+    and the walk settles within bound steps. A walk that does not raises
+    InternalInvariantError.
+    """
+    for count in range(bound + 1):
+        for j, t in enumerate(lam):
+            if t < 0:
+                for i, a in columns[j]:
+                    lam[i] -= t * a
+                break
+        else:
+            return count
+    raise InternalInvariantError(f"dominant-chamber walk did not settle within {bound} steps")
 
 
 def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[Root, ...]:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from weylkit.charring import (
     CharElt,
+    _dominant_fold,
     antisymmetrize,
     divide_exact,
     divide_exact_general,
@@ -18,9 +19,12 @@ from weylkit.charring import (
     weyl_denominator,
 )
 from weylkit.errors import NotDivisible
+from weylkit.repring import irreducible_character, orbit_sum
 from weylkit.rootdata import NAMED_TYPES, build_root_datum
 from weylkit.selftest import random_char_elt
 from weylkit.weyl import weyl_group
+
+DATA = {name: build_root_datum(name) for name in NAMED_TYPES}
 
 
 def char_elts(rank: int, span: int = 3, max_terms: int = 5):
@@ -176,6 +180,56 @@ def test_is_weyl_invariant_witness():
     assert is_weyl_invariant(datum, CharElt.zero()) == (True, None)
 
 
+def invariance_reference(datum, u):
+    # s_j(u) == u for each j in order, as one dict rebuild per reflection
+    for j in range(1, datum.rank + 1):
+        image = weyl_act_simple(datum, j, u)
+        if image != u:
+            return False, (j, image)
+    return True, None
+
+
+@st.composite
+def invariance_cases(draw):
+    """A datum and an element near R(G): a sum of orbit sums, a product of
+    two irreducible characters, either with one term removed, or either
+    plus a term whose mu_j < 0 side may have no mirror (such as A1 e[-1])."""
+    datum = DATA[draw(st.sampled_from(NAMED_TYPES))]
+    dominant = st.tuples(*[st.integers(0, 1)] * datum.rank)
+    if draw(st.booleans()):
+        u = irreducible_character(datum, draw(dominant), strict=False)
+        u = u * irreducible_character(datum, draw(dominant), strict=False)
+    else:
+        u = CharElt.zero()
+        for lam in draw(st.lists(st.tuples(*[st.integers(0, 2)] * datum.rank), max_size=3)):
+            u = u + orbit_sum(datum, lam) * draw(st.sampled_from([-2, -1, 1, 3]))
+    change = draw(st.sampled_from(["none", "remove", "add"]))
+    if change == "remove" and u:
+        mu = draw(st.sampled_from(u.support()))
+        u = u - monomial(mu, u.coefficient(mu))
+    elif change == "add":
+        # no coordinate above 0: where s_j(nu) is not in u, nothing on the
+        # mu_j > 0 side maps onto nu, which only the count sees
+        nu = draw(st.tuples(*[st.integers(-3, 0)] * datum.rank))
+        u = u + monomial(nu, draw(st.sampled_from([-1, 1, 2])))
+    return datum, u
+
+
+@given(invariance_cases())
+def test_is_weyl_invariant_matches_the_reflected_images(case):
+    datum, u = case
+    assert is_weyl_invariant(datum, u) == invariance_reference(datum, u)
+
+
+def test_is_weyl_invariant_counts_the_unmirrored_side():
+    A1 = DATA["A1"]
+    assert is_weyl_invariant(A1, monomial((-1,))) == (False, (1, monomial((1,))))
+    # s_1 e[1] = e[-1] is matched, and e[-2] has no term to come from
+    u = monomial((1,)) + monomial((-1,)) + monomial((-2,))
+    image = monomial((-1,)) + monomial((1,)) + monomial((2,))
+    assert is_weyl_invariant(A1, u) == invariance_reference(A1, u) == (False, (1, image))
+
+
 def test_divide_exact_round_trip():
     datum = build_root_datum("A2")
     for root in datum.positive_roots:
@@ -290,8 +344,60 @@ def test_antisymmetrize_matches_the_sum_over_w(name):
         assert antisymmetrize(datum, u) == antisymmetrize_reference(datum, u)
 
 
-DATA = {name: build_root_datum(name) for name in NAMED_TYPES}
 HUGE = 10**40
+
+
+def dominant_fold_reference(datum, u):
+    # one reflect_simple per step, at the first negative coordinate
+    folded = CharElt.zero()
+    for mu, c in u.items():
+        lam = tuple(a + r for a, r in zip(mu, datum.weyl_vector))
+        count = 0
+        while not datum.is_dominant(lam):
+            j = next(j for j, x in enumerate(lam, 1) if x < 0)
+            lam = datum.reflect_simple(j, lam)
+            count += 1
+        if all(lam):
+            folded = folded + monomial(lam, (-1) ** count * c)
+    return folded
+
+
+@st.composite
+def fold_cases(draw):
+    """A datum and an element with virtual coefficients: random terms,
+    terms whose mu + rho is singular (a reflected wall weight), or a
+    product of two irreducible characters."""
+    datum = DATA[draw(st.sampled_from(NAMED_TYPES))]
+    rank = datum.rank
+    if draw(st.booleans()):
+        dominant = st.tuples(*[st.integers(0, 1)] * rank)
+        u = irreducible_character(datum, draw(dominant), strict=False)
+        u = u * irreducible_character(datum, draw(dominant), strict=False)
+    else:
+        weights = st.tuples(*[st.integers(-4, 4)] * rank)
+        u = CharElt(draw(st.dictionaries(weights, st.integers(-3, 3), max_size=6)))
+    for wall, word, c in draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(-3, 3)] * rank),
+                st.lists(st.integers(1, rank), max_size=6),
+                st.sampled_from([-2, -1, 1, 2]),
+            ),
+            max_size=3,
+        )
+    ):
+        # nu has a zero coordinate, so nu and its W-images are singular
+        nu = (0,) + wall[1:]
+        for j in word:
+            nu = datum.reflect_simple(j, nu)
+        u = u + monomial(tuple(a - r for a, r in zip(nu, datum.weyl_vector)), c)
+    return datum, u
+
+
+@given(fold_cases())
+def test_dominant_fold_matches_the_reflect_simple_walk(case):
+    datum, u = case
+    assert CharElt(_dominant_fold(datum, u)) == dominant_fold_reference(datum, u)
 
 
 @st.composite

@@ -203,6 +203,19 @@ def test_cover_decompose(capsys):
     assert code == 1  # rank mismatch between matrix and expression
 
 
+def test_cover_matrix_bounds_are_inclusive(capsys):
+    from weylkit.parsing import MAX_POWER_DEGREE, MAX_POWER_TERMS
+
+    code, out, _ = run_cli(capsys, "cover", "pullback", "e[-1]", "--matrix", f"[[{MAX_POWER_DEGREE}]]")
+    assert (code, out) == (0, f"e[-{MAX_POWER_DEGREE}]\n")
+    code, out, _ = run_cli(capsys, "cover", "decompose", "e[1]", "--matrix", f"[[-{MAX_POWER_TERMS}]]")
+    assert code == 0
+    assert len(out.splitlines()) == MAX_POWER_TERMS
+    code, _, err = run_cli(capsys, "cover", "pullback", "e[1]", "--matrix", f"[[-{MAX_POWER_DEGREE + 1}]]")
+    assert code == 1
+    assert "ParseError" in err
+
+
 def test_cover_requires_matrix(capsys):
     code, _, err = run_cli(capsys, "cover", "decompose", "e[1]")
     assert code == 1
@@ -314,6 +327,11 @@ def test_domain_errors_exit_one(capsys, argv):
         ("decompose", "A1", "e[%s]*e[%s]+e[-%s]*e[-%s]" % (("9" * 4300,) * 4)),
         ("invariant-check", "G2", "e[%s,0]" % ("9" * 4300)),
         ("apply", "A1", "d[1]", "e[20000000]-e[19999998]"),
+        # cover matrices: an entry whose image weights str() refuses, and
+        # more cosets than decompose prints
+        ("cover", "pullback", "e[10000]", "--matrix", "[[%s]]" % ("9" * 4299)),
+        ("cover", "decompose", "e[1,0]", "--matrix", "[[100000,0],[0,100000]]"),
+        ("cover", "decompose", "e[1,0]", "--matrix", "[[1000,0],[0,2]]"),
     ],
 )
 def test_huge_powers_exit_one_quickly(capsys, argv):

@@ -139,14 +139,25 @@ def test_reflect_to_dominant_counts_the_sign(name):
             assert w.sign == (-1) ** count
 
 
-def test_reflect_to_dominant_that_never_settles_is_an_internal_error(monkeypatch):
-    from weylkit.errors import InternalInvariantError
-    from weylkit.rootdata import RootDatum
+def test_reflect_to_dominant_that_never_settles_is_an_internal_error():
+    from dataclasses import replace
 
+    from weylkit.charring import _dominant_fold, monomial
+    from weylkit.errors import InternalInvariantError
+    from weylkit.rootdata import Root
+
+    # A2 with the column of alpha_1 zeroed: s_1 fixes every weight, so a
+    # walk that meets a negative first coordinate never leaves it
     datum = build_root_datum("A2")
-    monkeypatch.setattr(RootDatum, "reflect_simple", lambda self, j, weight: tuple(weight))
+    first = datum.positive_roots[0]
+    zeroed = Root(first.root_coords, (0, 0), first.coroot)
+    broken = replace(datum, positive_roots=(zeroed,) + datum.positive_roots[1:])
+    assert broken.reflect_to_dominant((1, -1)) == datum.reflect_to_dominant((1, -1)) == ((0, 1), 1)
     with pytest.raises(InternalInvariantError):
-        datum.reflect_to_dominant((-1, 0))
+        broken.reflect_to_dominant((-1, 0))
+    # mu + rho = (-1, 1)
+    with pytest.raises(InternalInvariantError):
+        _dominant_fold(broken, monomial((-2, 0)))
 
 
 def test_negated_root():
