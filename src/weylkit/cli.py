@@ -41,7 +41,7 @@ from .repring import (
 )
 from .rootdata import RootDatum, build_root_datum
 from .selftest import run_selftest
-from .weyl import weyl_group
+from .weyl import _longest, _order
 
 __all__ = ["main"]
 
@@ -98,12 +98,12 @@ def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     datum = _load_datum(args.group)
-    group = weyl_group(datum)
-    longest = list(group.longest.word)
+    order = _order(datum)
+    longest = list(_longest(datum).word)
     lines = [
         f"type: {_group_name(datum)}",
         f"rank: {datum.rank}",
-        f"weyl_order: {len(group)}",
+        f"weyl_order: {order}",
         f"positive_roots: {datum.num_positive_roots}",
         f"longest_word: [{','.join(map(str, longest))}]",
         f"cartan: {_dumps([list(r) for r in datum.cartan])}",
@@ -111,7 +111,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     payload = {
         "type": _group_name(datum),
         "rank": datum.rank,
-        "weyl_order": len(group),
+        "weyl_order": order,
         "positive_roots": datum.num_positive_roots,
         "longest_word": longest,
         "cartan": [list(r) for r in datum.cartan],

@@ -50,7 +50,7 @@ from .config import resolve_strict
 from .charring import CharElt, _Packing, _string_quotient, antisymmetrize
 from .errors import InternalInvariantError, WordMismatch
 from .rootdata import Root, RootDatum
-from .weyl import WeylElt, weyl_group
+from .weyl import WeylElt, _longest, weyl_group
 
 __all__ = [
     "delta",
@@ -195,14 +195,15 @@ def top(
     Idempotent, R(G)-linear (top(chi * u) = chi * top(u) for invariant chi),
     fixes every Weyl-invariant element. method selects the composition route
     ("demazure"), the character-formula route A(u)/d ("weyl"), or "both",
-    which cross-checks them and fails loudly on disagreement.
+    which cross-checks them and fails loudly on disagreement. The demazure
+    route builds w0 from its key -rho, so it enumerates W only in strict mode.
     """
     if method not in ("demazure", "weyl", "both"):
         raise ValueError(f"unknown method {method!r}")
     demazure_val = None
     weyl_val = None
     if method in ("demazure", "both"):
-        w0 = weyl_group(datum).longest
+        w0 = _longest(datum)
         demazure_val = partial(datum, w0, u, strict)
     if method in ("weyl", "both"):
         weyl_val = alternating_quotient(datum, u)

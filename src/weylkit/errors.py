@@ -35,7 +35,8 @@ class NotFiniteType(WeylkitError):
 
 
 class SafetyBoundExceeded(WeylkitError):
-    """An iteration cap was hit; signals a bug or out-of-scope input."""
+    """Valid input whose work would pass a size cap, such as a Weyl group of
+    more than weyl.ELEMENT_CAP elements; checked before the work starts."""
 
 
 class NotDivisible(WeylkitError):

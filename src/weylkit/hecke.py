@@ -182,13 +182,13 @@ def _combine(*terms: tuple[CharElt, HeckeOp]) -> HeckeOp:
 
 def _delta_left(datum: RootDatum, j: int, op: HeckeOp) -> HeckeOp:
     """delta_j o op, by the twisted Leibniz and 0-Hecke rules."""
-    group = weyl_group(datum)
-    s = group.simple(j)
+    datum._check_index(j)
+    by_key = weyl_group(datum).by_key
     zero = CharElt.zero()
     out: dict[WeylElt, CharElt] = {}
     for w, u in op._coeffs.items():
-        sw = group.multiply(s, w)
-        up = sw if sw.length > w.length else w
+        # up is the longer of w and s_j w; s_j w is longer when w(rho)_j > 0
+        up = by_key[datum.reflect_simple(j, w.key)] if w.key[j - 1] > 0 else w
         out[up] = out.get(up, zero) + weyl_act_simple(datum, j, u)
         out[w] = out.get(w, zero) + delta_prime(datum, j, u)
     return HeckeOp(out)

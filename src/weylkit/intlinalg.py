@@ -110,12 +110,6 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNF:
         for row in V:
             row[i] += c * row[j]
 
-    def col_neg(i: int) -> None:
-        for row in A:
-            row[i] = -row[i]
-        for row in V:
-            row[i] = -row[i]
-
     for t in range(min(m, n)):
         while True:
             pivot = None

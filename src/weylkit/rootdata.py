@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .errors import InternalInvariantError, NotFiniteType, SafetyBoundExceeded
+from .errors import InternalInvariantError, NotFiniteType
 from .intlinalg import determinant
 
 Weight = tuple[int, ...]
@@ -120,18 +120,6 @@ class RootDatum:
             return tuple(weight)
         return tuple([w - lj * row[j - 1] for w, row in zip(weight, self.cartan)])
 
-    def reflection_matrix(self, j: int) -> tuple[tuple[int, ...], ...]:
-        """Matrix of s_j acting on fundamental-weight coordinate columns."""
-        self._check_index(j)
-        n = self.rank
-        return tuple(
-            tuple(
-                (1 if i == k else 0) - (self.cartan[i][j - 1] if k == j - 1 else 0)
-                for k in range(n)
-            )
-            for i in range(n)
-        )
-
     def pairing(self, weight: Sequence[int], root: Root) -> int:
         """<lambda, alpha-check> for any root alpha of this datum."""
         return sum(f * w for f, w in zip(root.coroot, weight))
@@ -185,11 +173,15 @@ class RootDatum:
 
 
 def _walk_to_dominant(
-    lam: list[int], columns: Sequence[Sequence[tuple[int, int]]], bound: int
+    lam: list[int],
+    columns: Sequence[Sequence[tuple[int, int]]],
+    bound: int,
+    taken: list[int] | None = None,
 ) -> int:
     """Reflect lam into the dominant chamber in place and return the number
     of simple reflections taken; columns is RootDatum._simple_columns and
-    bound its number of positive roots.
+    bound its number of positive roots. Given a list taken, the index j of
+    each reflection is appended to it, in order.
 
     Each step applies s_j at the first negative coordinate lam_j. s_j sends
     alpha_j to -alpha_j and permutes the other positive roots, so the step
@@ -202,6 +194,8 @@ def _walk_to_dominant(
             if t < 0:
                 for i, a in columns[j]:
                     lam[i] -= t * a
+                if taken is not None:
+                    taken.append(j + 1)
                 break
         else:
             return count
@@ -236,7 +230,8 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[Root, ...]:
 
     found: dict[Weight, Root] = {r.root_coords: r for r in simples}
     # one sweep per root height, and a last one that finds nothing new (the
-    # only one at rank 0)
+    # only one at rank 0); a matrix that passed _validate_cartan always
+    # settles, so running out of sweeps is a bug, not bad input
     bound = 4 * n * n + 1
     for _ in range(bound):
         new: list[Root] = []
@@ -250,7 +245,7 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> tuple[Root, ...]:
         for r in new:
             found.setdefault(r.root_coords, r)
     else:
-        raise SafetyBoundExceeded(f"reflection closure exceeded {bound} sweeps")
+        raise InternalInvariantError(f"reflection closure exceeded {bound} sweeps")
     # simple roots first (in index order), then by height
     roots = sorted(
         found.values(), key=lambda r: (r.height, tuple(-c for c in r.root_coords))

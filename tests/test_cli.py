@@ -14,6 +14,7 @@ import pytest
 
 import weylkit
 from weylkit.cli import main
+from weylkit.config import set_strict_default
 
 SCHEMA = json.loads(
     (Path(weylkit.__file__).parent / "schema" / "cli-output.schema.json").read_text()
@@ -66,6 +67,33 @@ def test_info_custom_matrix(capsys):
     assert code == 0
     assert "type: custom" in out
     assert "weyl_order: 6" in out
+
+
+def _e_cartan(rank):
+    # Bourbaki labels: the chain 1-3-4-...-rank, with 2 joined to 4
+    a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in [(1, 3), (2, 4)] + [(k, k + 1) for k in range(3, rank)]:
+        a[i - 1][j - 1] = a[j - 1][i - 1] = -1
+    return a
+
+
+@pytest.mark.parametrize("rank,order,length", [(7, 2903040, 63), (8, 696729600, 120)])
+def test_info_does_not_enumerate_the_group(capsys, rank, order, length):
+    start = time.perf_counter()
+    payload = run_json(capsys, "info", json.dumps(_e_cartan(rank)), "--json")
+    assert time.perf_counter() - start < 5.0
+    assert payload["weyl_order"] == order
+    assert len(payload["longest_word"]) == payload["positive_roots"] == length
+
+
+def test_char_by_demazure_does_not_enumerate_the_group(capsys):
+    set_strict_default(False)  # strict mode walks the whole weak order
+    code, out, _ = run_cli(capsys, "char", json.dumps(_e_cartan(7)), "0,0,0,0,0,0,1")
+    assert code == 0
+    assert out.count("e[") == 56  # the minuscule representation of E7
+    code, _, err = run_cli(capsys, "char", json.dumps(_e_cartan(7)), "0,0,0,0,0,0,1", "--strict")
+    assert code == 1
+    assert "SafetyBoundExceeded" in err
 
 
 def test_apply(capsys):

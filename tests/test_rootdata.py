@@ -102,15 +102,6 @@ def test_reflect_simple_matches_general_reflect():
             assert datum.reflect_simple(j, lam) == datum.reflect(root, lam)
 
 
-def test_reflection_matrix_consistent_with_action():
-    datum = build_root_datum("A3")
-    for j in range(1, datum.rank + 1):
-        mat = datum.reflection_matrix(j)
-        for lam in [(1, 0, 0), (-1, 2, -3), (0, 0, 0)]:
-            via_matrix = tuple(sum(c * x for c, x in zip(row, lam)) for row in mat)
-            assert via_matrix == datum.reflect_simple(j, lam)
-
-
 def test_dominant_representative_properties():
     datum = build_root_datum("B2")
     for lam in [(0, 0), (-1, 0), (2, -3), (-3, -3), (1, 1)]:
@@ -158,6 +149,16 @@ def test_reflect_to_dominant_that_never_settles_is_an_internal_error():
     # mu + rho = (-1, 1)
     with pytest.raises(InternalInvariantError):
         _dominant_fold(broken, monomial((-2, 0)))
+
+
+def test_reflection_closure_that_never_settles_is_an_internal_error():
+    from weylkit.errors import InternalInvariantError
+    from weylkit.rootdata import _positive_roots
+
+    # affine A1 has infinitely many positive roots; build_root_datum
+    # rejects it before the closure runs
+    with pytest.raises(InternalInvariantError):
+        _positive_roots(((2, -2), (-2, 2)))
 
 
 def test_negated_root():

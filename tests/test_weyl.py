@@ -1,9 +1,12 @@
 """Weyl group enumeration: orders, words, actions, orbits."""
 
+import time
+
 import pytest
 
-from weylkit.rootdata import build_root_datum
-from weylkit.weyl import orbit, weyl_group
+from weylkit.errors import SafetyBoundExceeded
+from weylkit.rootdata import NAMED_TYPES, build_root_datum
+from weylkit.weyl import _order, orbit, weyl_group
 
 ORDERS = {
     "A1": 2,
@@ -34,6 +37,23 @@ def test_longest_element(name):
     assert w0.sign == (-1) ** w0.length
     # w0 is the unique maximum of the length function
     assert sum(1 for w in group if w.length == w0.length) == 1
+    assert w0.key == tuple(-c for c in datum.weyl_vector)
+
+
+@pytest.mark.parametrize("name", NAMED_TYPES)
+def test_word_is_first_reduced_word_and_every_word_acts_alike(name):
+    # the word convention that HeckeOp JSON and CLI output print
+    datum = build_root_datum(name)
+    group = weyl_group(datum)
+    probe = (3, -2, 5, -1)[: datum.rank]
+    for w in group:
+        words = group.all_reduced_words(w)
+        assert w.word == min(words)
+        for word in words:
+            lam = probe
+            for j in reversed(word):
+                lam = datum.reflect_simple(j, lam)
+            assert w.act(probe) == lam
 
 
 def test_longest_word_dihedral_types():
@@ -156,3 +176,39 @@ def test_orbit_closed_under_action():
     points = set(orbit(datum, (1, 1)))
     for w in group:
         assert {w.act(p) for p in points} == points
+
+
+def _e_cartan(rank):
+    # Bourbaki labels: the chain 1-3-4-...-rank, with 2 joined to 4
+    a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in [(1, 3), (2, 4)] + [(k, k + 1) for k in range(3, rank)]:
+        a[i - 1][j - 1] = a[j - 1][i - 1] = -1
+    return a
+
+
+F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+A1_A1 = [[2, 0], [0, 2]]
+A2_B2 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -2, 2]]
+
+
+@pytest.mark.parametrize(
+    "spec,order",
+    [*sorted(ORDERS.items()), (F4, 1152), (A1_A1, 4), (A2_B2, 48)],
+    ids=[*sorted(ORDERS), "F4", "A1xA1", "A2xB2"],
+)
+def test_order_formula_counts_the_enumerated_group(spec, order):
+    datum = build_root_datum(spec)
+    assert _order(datum) == len(weyl_group(datum)) == order
+
+
+@pytest.mark.parametrize("rank,order", [(6, 51840), (7, 2903040), (8, 696729600)])
+def test_order_formula_on_e_types(rank, order):
+    assert _order(build_root_datum(_e_cartan(rank))) == order
+
+
+def test_group_above_the_cap_is_refused_before_enumerating():
+    datum = build_root_datum(_e_cartan(7))
+    start = time.perf_counter()
+    with pytest.raises(SafetyBoundExceeded):
+        weyl_group(datum)
+    assert time.perf_counter() - start < 1.0
