@@ -51,6 +51,7 @@ from .repring import (
     reconstruct_over_invariants,
     restrict,
     steinberg_basis,
+    tensor_product,
     weyl_dimension,
 )
 from .rootdata import Root, RootDatum, Weight, build_root_datum
@@ -105,6 +106,7 @@ __all__ = [
     "reconstruct_over_invariants",
     "restrict",
     "steinberg_basis",
+    "tensor_product",
     "weyl_dimension",
     # covers
     "CoverDatum",

@@ -47,7 +47,7 @@ from functools import lru_cache
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InternalInvariantError, NotDivisible
+from .errors import NotDivisible
 from .rootdata import Root, RootDatum, Weight, _walk_to_dominant
 from .weyl import WeylElt, weyl_group
 
@@ -408,9 +408,10 @@ def _string_quotient(
     that of delta', u - s_alpha(u): v_p = q_p - q_{-p-t0-shift}. Without a
     shift the numerator is u itself. (1 - e^{-alpha}) acts on a string by
     (v_p) -> (v_p - v_{p+1}), so the quotient is the top-down cumulative sum,
-    and the string divides exactly iff its numerator sums to zero. A
-    divided-difference numerator always does, so a residue there raises
-    InternalInvariantError; otherwise it raises NotDivisible.
+    and the string divides exactly iff its numerator sums to zero. Without a
+    shift a residue raises NotDivisible. A divided-difference numerator
+    always sums to zero: p -> -p - m maps the range [lo, hi] onto itself, so
+    its two sums cancel, and that branch has no residue to check.
     """
     step = packing.key(root.weight_coords)
     strings: dict[int, dict[int, int]] = {}
@@ -448,12 +449,6 @@ def _string_quotient(
             running += get(p, 0) - get(-p - m, 0)
             if running:
                 out[rep + p * step] = running
-        residue = running + get(lo, 0) - get(hi, 0)
-        if residue:
-            raise InternalInvariantError(
-                f"divided-difference numerator on the string through {packing.weight(rep)} "
-                f"has residue {residue}"
-            )
     return out
 
 

@@ -7,7 +7,9 @@ step j applied to the value of s_j x, and raises WordMismatch on the first
 two that differ. Every reduced word of w is a path through these edges, so
 edgewise agreement is agreement along every word (demazure._walk). It costs
 the sum of the left descents over the elements below w, |W| rank / 2 steps for
-the longest element, against one step per letter when off. It exists to catch
+the longest element, against one step per letter when off. Strict mode also
+makes repring.decompose_over_invariants reconstruct u from its coordinates
+and raise InternalInvariantError on a mismatch. It exists to catch
 bugs, so the library default is off; the test suite turns it on, and the
 WEYLKIT_STRICT=1 environment variable forces it everywhere.
 """

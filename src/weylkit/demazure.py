@@ -10,8 +10,9 @@ rep + Z*alpha of u separately, and are computed in one pass over those
 strings (charring._string_quotient): with q_p the coefficient at
 rep + p*alpha and t0 = <rep, alpha-check> in {0, 1}, the numerator is
 v_p = q_p - q_{-p-t0-1} for delta and v_p = q_p - q_{-p-t0} for delta_prime,
-and the quotient is its top-down cumulative sum. A residue there would be a
-library bug and raises InternalInvariantError.
+and the quotient is its top-down cumulative sum. The numerator sums to zero
+on every string, because p -> -p - t0 - 1 (or -p - t0) permutes the
+positions it runs over, so the division is exact and has nothing to check.
 
 The passes run on packed integer weights (charring module docstring). The
 packing's radius is sum c_i M_i, with M_i the largest |mu_i| over the

@@ -110,7 +110,7 @@ def test_to_basis_certified_on_steinberg_basis(name):
     exprs = [random_op_expr(rng, datum.rank) for _ in range(2)]
     e_1 = monomial((1,) + (0,) * (datum.rank - 1))
     exprs.append(OpExpr.d(datum.rank) * OpExpr.top() * OpExpr.m(e_1))
-    basis = steinberg_basis(datum, verify=False)
+    basis = steinberg_basis(datum)
     for expr in exprs:
         op = to_basis(datum, expr, strict=strict)
         for w in weyl_group(datum):

@@ -1,10 +1,15 @@
 """Invariant subring: characters, decompositions, module coordinates."""
 
+import dataclasses
 import random
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylkit.charring import CharElt, monomial
+from weylkit.config import set_strict_default
 from weylkit.demazure import top
 from weylkit.errors import FreenessCheckFailed, InternalInvariantError, NotInvariant
 import weylkit.repring as repring
@@ -18,6 +23,7 @@ from weylkit.repring import (
     reconstruct_over_invariants,
     restrict,
     steinberg_basis,
+    tensor_product,
     weyl_dimension,
 )
 from weylkit.rootdata import build_root_datum
@@ -285,18 +291,24 @@ def test_steinberg_weights_frozen():
 
 def test_steinberg_basis_verification_paths():
     # every construction is certified; verify, verify_extent and retries
-    # have nothing left to change
+    # have nothing left to change, and passing them warns
     b2 = build_root_datum("B2")
     basis = steinberg_basis(b2)
     assert len(basis.weights) == len(basis.pivots) == 8
-    unverified = steinberg_basis(b2, verify=False)
-    assert steinberg_basis(b2, verify=True, verify_extent=2).pivots == basis.pivots == unverified.pivots
+    with pytest.warns(DeprecationWarning, match="ignores verify,"):
+        unverified = steinberg_basis(b2, verify=False)
+    with pytest.warns(DeprecationWarning, match="ignores verify and verify_extent"):
+        verified = steinberg_basis(b2, verify=True, verify_extent=2)
+    assert verified.pivots == basis.pivots == unverified.pivots
     rng = random.Random("steinberg-options:B2")
     for _ in range(3):
         u = random_char_elt(rng, b2.rank, nterms=3, span=2)
-        assert decompose_over_invariants(b2, u, unverified, retries=0) == decompose_over_invariants(b2, u, basis)
+        with pytest.warns(DeprecationWarning, match="ignores retries"):
+            coords = decompose_over_invariants(b2, u, unverified, retries=0)
+        assert coords == decompose_over_invariants(b2, u, basis)
     g2 = build_root_datum("G2")
-    assert len(steinberg_basis(g2, verify=False).weights) == 12
+    with pytest.warns(DeprecationWarning, match="ignores verify,"):
+        assert len(steinberg_basis(g2, verify=False).weights) == 12
 
 
 def _patched_weights(monkeypatch, datum, weights):
@@ -377,3 +389,156 @@ def test_decompose_zero():
     coords = decompose_over_invariants(A2, CharElt.zero())
     assert all(not dec for dec in coords.values())
     assert reconstruct_over_invariants(A2, coords) == CharElt.zero()
+
+
+# --- the Steinberg layer in R(G) ---------------------------------------------
+
+
+def _stored_pairing(basis):
+    """{(x, phi): top(e_x e^phi)} over the nonzero pairing entries a basis
+    keeps: each column is one pivot's, with the pivot and its entries."""
+    chi_0 = (0,) * basis.datum.rank
+    out = {}
+    for (v, phi, sign), column in zip(basis.pivots, basis.entries):
+        out[v, phi] = IrredDecomp({chi_0: sign})
+        for x, nu, s in column:
+            out[x, phi] = IrredDecomp({nu: s})
+    return out
+
+
+@pytest.mark.parametrize("name", READ_OFF_GROUPS)
+def test_sparse_pairing_matches_dense(name):
+    datum = build_root_datum(name)
+    basis = steinberg_basis(datum)
+    phis = [phi for _, phi, _ in basis.pivots]
+    assert len(set(phis)) == len(phis) == len(basis.weights)
+    dense = {}
+    for x, lam in basis.items():
+        for phi in phis:
+            entry = induce(datum, monomial(tuple(map(add, lam, phi))))
+            if entry:
+                dense[x, phi] = entry
+    assert _stored_pairing(basis) == dense
+
+
+def _rt_coordinates(datum, u, basis):
+    """Reference: back-substitution on the R(T) remainder r, reading
+    c_v = sign * top(r e^phi) off and removing restrict(c_v) e_v from r."""
+    weight = dict(basis.weights)
+    rest = u
+    out = {}
+    for v, phi, sign in basis.pivots:
+        coeff = induce(datum, rest * monomial(phi, sign))
+        rest = rest - restrict(datum, coeff) * monomial(weight[v])
+        out[v] = coeff
+    assert not rest
+    return out
+
+
+@st.composite
+def _group_and_element(draw):
+    datum = build_root_datum(draw(st.sampled_from(READ_OFF_GROUPS)))
+    span = 2 if datum.rank <= 2 else 1
+    weight = st.tuples(*[st.integers(-span, span)] * datum.rank)
+    terms = draw(st.lists(st.tuples(weight, st.sampled_from([-2, -1, 1, 2])), min_size=1, max_size=3))
+    return datum, CharElt(terms)
+
+
+@settings(max_examples=100)
+@given(_group_and_element())
+def test_coordinates_match_rt_back_substitution(case):
+    datum, u = case
+    basis = repring._default_basis(datum)
+    assert decompose_over_invariants(datum, u, basis) == _rt_coordinates(datum, u, basis)
+
+
+@st.composite
+def _group_and_two_decompositions(draw):
+    datum = build_root_datum(draw(st.sampled_from(READ_OFF_GROUPS)))
+    top_entry = 2 if datum.rank <= 2 else 1
+    weight = st.tuples(*[st.integers(0, top_entry)] * datum.rank)
+    decomposition = st.lists(st.tuples(weight, st.integers(-2, 2)), max_size=3).map(IrredDecomp)
+    return datum, draw(decomposition), draw(decomposition)
+
+
+@settings(max_examples=100)
+@given(_group_and_two_decompositions())
+def test_tensor_product_matches_rt_product(case):
+    datum, a, b = case
+    expected = decompose_into_irreducibles(datum, restrict(datum, a) * restrict(datum, b))
+    assert tensor_product(datum, a, b) == expected
+    assert tensor_product(datum, b, a) == expected
+
+
+def test_tensor_product_known_values():
+    chi_0, chi_1 = IrredDecomp({(0,): 1}), IrredDecomp({(1,): 1})
+    assert tensor_product(A1, chi_1, chi_1) == IrredDecomp({(2,): 1, (0,): 1})
+    assert tensor_product(A1, IrredDecomp({(0,): -3}), chi_1) == IrredDecomp({(1,): -3})
+    assert tensor_product(A1, chi_0, IrredDecomp({})) == IrredDecomp({})
+    adjoint = IrredDecomp({(1, 1): 1})
+    assert tensor_product(A2, adjoint, adjoint) == IrredDecomp(
+        {(2, 2): 1, (3, 0): 1, (0, 3): 1, (1, 1): 2, (0, 0): 1}
+    )
+
+
+F4_CARTAN = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2))
+D5_CARTAN = (
+    (2, -1, 0, 0, 0),
+    (-1, 2, -1, 0, 0),
+    (0, -1, 2, -1, -1),
+    (0, 0, -1, 2, 0),
+    (0, 0, -1, 0, 2),
+)
+
+
+@pytest.mark.parametrize(
+    "cartan,order,nonzero", [(F4_CARTAN, 1152, 28234), (D5_CARTAN, 1920, 28496)], ids=["F4", "D5"]
+)
+def test_rank_four_and_five_cartan_bases_build(cartan, order, nonzero):
+    basis = steinberg_basis(build_root_datum(cartan))
+    assert len(basis.pivots) == len(basis.weights) == order
+    assert len(_stored_pairing(basis)) == nonzero
+
+
+def test_d4_pairing_folds_only_the_nonzero_entries(monkeypatch):
+    d4 = build_root_datum("D4")
+    weights = repring._steinberg_weights(d4)
+    folds = []
+    walk = repring._walk_to_dominant
+    monkeypatch.setattr(repring, "_walk_to_dominant", lambda *args: folds.append(args) or walk(*args))
+    pivots, entries = repring._pairing_pivots(d4, weights)
+    assert len(folds) == 816 == len(pivots) + sum(map(len, entries))
+
+
+def test_coordinates_restrict_nothing(monkeypatch):
+    # strict mode reconstructs, and reconstruct_over_invariants restricts
+    set_strict_default(False)
+    d4 = build_root_datum("D4")
+    rng = random.Random(1)
+    elements = [random_char_elt(rng, d4.rank, 3, 3) for _ in range(3)]
+    calls = []
+    real = repring.restrict
+    monkeypatch.setattr(repring, "restrict", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    for u in elements:
+        coords = decompose_over_invariants(d4, u)
+        assert len(coords) == 192
+    assert calls == []
+
+
+def test_strict_coordinates_catch_a_wrong_stored_entry():
+    b2 = build_root_datum("B2")
+    basis = steinberg_basis(b2)
+    n = next(n for n, column in enumerate(basis.entries) if column)
+    (x, nu, s), *others = basis.entries[n]
+    entries = list(basis.entries)
+    entries[n] = ((x, nu, -s), *others)
+    wrong = dataclasses.replace(basis, entries=tuple(entries))
+    # e_x has the coordinate chi_0 at x alone, so the flipped entry moves the
+    # coordinate of pivots[n]
+    u = basis.element_of(x)
+    with pytest.raises(InternalInvariantError, match="do not reconstruct u"):
+        decompose_over_invariants(b2, u, wrong)
+    set_strict_default(False)
+    coords = decompose_over_invariants(b2, u, wrong)
+    assert coords != decompose_over_invariants(b2, u, basis)
+    assert reconstruct_over_invariants(b2, coords, wrong) != u
