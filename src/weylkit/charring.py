@@ -8,6 +8,13 @@ lexicographically descending weight order (leading term first), while JSON
 serialization lists them ascending. That container, _TermMap, is shared
 with repring.IrredDecomp, an element of R(G) keyed by highest weights.
 
+Sums keep "zero coefficients are never stored" in one place, _add_scaled,
+which adds into one dict in place: construction, + and -, long division,
+and every sum over many term maps in repring, covers and hecke. Three hot
+loops keep their own inline updates, since a call per term slows them
+measurably: the packed product (CharElt.__mul__), the chamber fold
+(_dominant_fold) and the string kernel (_string_quotient).
+
 Products and the alpha-string kernel behind divide_exact and the divided
 differences (_string_quotient) run on packed weights: a _Packing of radius
 B holds every weight whose coordinates lie in [-B, B], and with R = 2B + 1
@@ -64,6 +71,26 @@ __all__ = [
 ]
 
 
+def _add_scaled(acc: dict[Weight, int], pairs: Iterable[tuple[Weight, int]], scale: int = 1) -> None:
+    """acc += scale * pairs, in place: each (key, c) adds scale * c at key,
+    and a key whose coefficient reaches 0 is removed, so acc stores no zero.
+    The accumulator of every sum of term maps outside the three hot loops
+    (module docstring):
+
+    >>> acc = {(1,): 2, (0,): 1}
+    >>> _add_scaled(acc, [((1,), 1), ((-1,), 3)], -2)
+    >>> acc
+    {(0,): 1, (-1,): -6}
+    """
+    get = acc.get
+    for key, c in pairs:
+        v = get(key, 0) + scale * c
+        if v:
+            acc[key] = v
+        else:
+            acc.pop(key, None)
+
+
 class _TermMap:
     """A finite map from integer weights to nonzero integers, summed on
     construction; the container of CharElt and repring.IrredDecomp.
@@ -79,13 +106,7 @@ class _TermMap:
     def __init__(self, terms: Mapping[Sequence[int], int] | Iterable[tuple[Sequence[int], int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Weight, int] = {}
-        for weight, coeff in items:
-            key = tuple(int(c) for c in weight)
-            value = clean.get(key, 0) + int(coeff)
-            if value:
-                clean[key] = value
-            else:
-                clean.pop(key, None)
+        _add_scaled(clean, ((tuple(map(int, weight)), int(coeff)) for weight, coeff in items))
         self._terms = clean
 
     @classmethod
@@ -159,24 +180,14 @@ class CharElt(_TermMap):
         if not isinstance(other, CharElt):
             return NotImplemented
         out = dict(self._terms)
-        for key, c in other._terms.items():
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+        _add_scaled(out, other._terms.items())
         return CharElt._raw(out)
 
     def __sub__(self, other: "CharElt") -> "CharElt":
         if not isinstance(other, CharElt):
             return NotImplemented
         out = dict(self._terms)
-        for key, c in other._terms.items():
-            v = out.get(key, 0) - c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+        _add_scaled(out, other._terms.items(), -1)
         return CharElt._raw(out)
 
     def __neg__(self) -> "CharElt":
@@ -238,9 +249,8 @@ class CharElt(_TermMap):
             raise NotDivisible("negative powers exist only for unit monomials")
         if n == 0:
             if not self._terms:
-                return CharElt._raw({(): 1})
-            rank = len(next(iter(self._terms)))
-            return CharElt.one(rank)
+                raise ValueError("the zeroth power of zero has no known rank")
+            return CharElt.one(len(next(iter(self._terms))))
         result = None
         base = self
         while n:
@@ -507,13 +517,7 @@ def divide_exact_general(numerator: CharElt, divisor: CharElt) -> CharElt:
             raise NotDivisible("quotient support escaped its bound")
         q = cr // cd
         quot[shift] = q
-        for mu, c in divisor._terms.items():
-            key = tuple(a + b for a, b in zip(shift, mu))
-            v = rem.get(key, 0) - q * c
-            if v:
-                rem[key] = v
-            else:
-                rem.pop(key, None)
+        _add_scaled(rem, ((tuple(map(add, shift, mu)), c) for mu, c in divisor._terms.items()), -q)
     return CharElt._raw(quot)
 
 

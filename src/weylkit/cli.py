@@ -9,9 +9,10 @@ failures, non-invariant elements) and usage errors; 2 anything else, internal
 invariant violations included, which always indicates a bug in the package
 rather than in the input and is reported in one line on stderr.
 
-Output is deterministic for fixed inputs and seed: dictionaries are emitted
-in sorted or structurally fixed order, JSON is compact with no whitespace,
-and timing (never deterministic) goes to stderr only.
+Output is deterministic for fixed inputs: dictionaries are emitted in
+sorted or structurally fixed order, JSON is compact with no whitespace, and
+timing (never deterministic) goes to stderr only. Only selftest draws random
+inputs, and it takes --seed; the other verbs take no seed.
 """
 
 from __future__ import annotations
@@ -258,7 +259,6 @@ def build_parser() -> _Parser:
         action="store_true",
         help="verify operator compositions along every reduced word",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized paths")
     common.add_argument(
         "--threads",
         type=int,

@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import product
 from typing import Mapping, Sequence
 
-from .charring import CharElt
+from .charring import CharElt, _add_scaled
 from .errors import SingularMatrix
 from .intlinalg import determinant, mat_vec, smith_normal_form
 from .rootdata import Weight
@@ -98,7 +98,7 @@ def decompose_cover(cover: CoverDatum, v: CharElt) -> dict[Weight, CharElt]:
 
 def reconstruct_cover(cover: CoverDatum, parts: Mapping[Weight, CharElt]) -> CharElt:
     """Inverse of decompose_cover: sum of e^rep * pullback(part)."""
-    out = CharElt.zero()
+    out: dict[Weight, int] = {}
     for rep, part in parts.items():
-        out = out + CharElt._raw({rep: 1}) * pullback(cover, part)
-    return out
+        _add_scaled(out, (CharElt._raw({rep: 1}) * pullback(cover, part))._terms.items())
+    return CharElt._raw(out)

@@ -20,11 +20,11 @@ exactly the delta'_j themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .charring import CharElt, is_weyl_invariant, monomial, weyl_act_simple
+from .charring import CharElt, _add_scaled, is_weyl_invariant, monomial, weyl_act_simple
 from .demazure import _walk, delta, delta_prime, partial, top
-from .rootdata import RootDatum
+from .rootdata import RootDatum, Weight
 from .weyl import WeylElt, weyl_group
 
 __all__ = [
@@ -78,16 +78,16 @@ class HeckeOp:
         return f"HeckeOp({str(self)})"
 
     def apply(self, datum: RootDatum, u: CharElt, strict: bool | None = None) -> CharElt:
-        out = CharElt.zero()
+        out: dict[Weight, int] = {}
         for w, coeff in self._coeffs.items():
-            out = out + coeff * partial(datum, w, u, strict=strict)
-        return out
+            _add_scaled(out, (coeff * partial(datum, w, u, strict=strict))._terms.items())
+        return CharElt._raw(out)
 
     def coefficient_sum(self) -> CharElt:
-        out = CharElt.zero()
+        out: dict[Weight, int] = {}
         for u in self._coeffs.values():
-            out = out + u
-        return out
+            _add_scaled(out, u._terms.items())
+        return CharElt._raw(out)
 
     def to_json(self) -> dict:
         return {
@@ -170,28 +170,30 @@ def apply(datum: RootDatum, op: "HeckeOp | OpExpr", u: CharElt, strict: bool | N
     return op.apply(datum, u, strict=strict)
 
 
+def _sum_by_element(terms: Iterable[tuple[WeylElt, CharElt]]) -> HeckeOp:
+    """The HeckeOp with coefficient at w the sum of the u of its pairs (w, u),
+    added into one term dict per element."""
+    out: dict[WeylElt, dict[Weight, int]] = {}
+    for w, u in terms:
+        _add_scaled(out.setdefault(w, {}), u._terms.items())
+    return HeckeOp({w: CharElt._raw(acc) for w, acc in out.items()})
+
+
 def _combine(*terms: tuple[CharElt, HeckeOp]) -> HeckeOp:
     """The sum of m_v o op over the given (v, op) pairs."""
-    out: dict[WeylElt, CharElt] = {}
-    zero = CharElt.zero()
-    for v, op in terms:
-        for w, u in op._coeffs.items():
-            out[w] = out.get(w, zero) + v * u
-    return HeckeOp(out)
+    return _sum_by_element((w, v * u) for v, op in terms for w, u in op._coeffs.items())
 
 
 def _delta_left(datum: RootDatum, j: int, op: HeckeOp) -> HeckeOp:
     """delta_j o op, by the twisted Leibniz and 0-Hecke rules."""
     datum._check_index(j)
     by_key = weyl_group(datum).by_key
-    zero = CharElt.zero()
-    out: dict[WeylElt, CharElt] = {}
+    images: list[tuple[WeylElt, CharElt]] = []
     for w, u in op._coeffs.items():
         # up is the longer of w and s_j w; s_j w is longer when w(rho)_j > 0
         up = by_key[datum.reflect_simple(j, w.key)] if w.key[j - 1] > 0 else w
-        out[up] = out.get(up, zero) + weyl_act_simple(datum, j, u)
-        out[w] = out.get(w, zero) + delta_prime(datum, j, u)
-    return HeckeOp(out)
+        images += [(up, weyl_act_simple(datum, j, u)), (w, delta_prime(datum, j, u))]
+    return _sum_by_element(images)
 
 
 def _compose_left(datum: RootDatum, atom: OpAtom, op: HeckeOp, strict: bool | None) -> HeckeOp:

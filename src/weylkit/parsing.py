@@ -37,9 +37,10 @@ from __future__ import annotations
 import sys
 from typing import NamedTuple
 
-from .charring import CharElt, monomial
+from .charring import CharElt, _add_scaled, monomial
 from .errors import ParseError
 from .hecke import OpExpr
+from .rootdata import Weight
 
 MAX_POWER_DEGREE = 10_000
 MAX_POWER_TERMS = 1_000
@@ -139,18 +140,17 @@ class _Parser:
     # character grammar
 
     def char_expr(self) -> CharElt:
-        negate = self.accept("-") is not None
-        out = self.char_term()
-        if negate:
-            out = -out
+        scale = -1 if self.accept("-") is not None else 1
+        out: dict[Weight, int] = {}
+        _add_scaled(out, self.char_term()._terms.items(), scale)
         while True:
             sign = self.accept("+") or self.accept("-")
             if sign is None:
-                return out
+                return CharElt._raw(out)
             term = self.char_term()
-            out = out + term if sign.kind == "+" else out - term
+            _add_scaled(out, term._terms.items(), 1 if sign.kind == "+" else -1)
             # the sum changes only the coefficients on the support of term
-            changed = max((abs(out.coefficient(mu)) for mu in term.support()), default=0)
+            changed = max((abs(out.get(mu, 0)) for mu in term._terms), default=0)
             _check_size("sum", sign.pos, "coefficient bits", changed.bit_length(), MAX_POWER_BITS)
 
     def char_term(self) -> CharElt:

@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul, sub
 from typing import Iterator, Mapping, Sequence
 
-from .charring import CharElt, _dominant_fold, _TermMap, is_weyl_invariant, monomial
+from .charring import CharElt, _add_scaled, _dominant_fold, _TermMap, is_weyl_invariant, monomial
 from .config import resolve_strict
 from .demazure import top
 from .errors import FreenessCheckFailed, InternalInvariantError, NotInvariant
@@ -138,10 +138,10 @@ def decompose_into_irreducibles(
 
 def restrict(datum: RootDatum, decomp: IrredDecomp, strict: bool | None = None) -> CharElt:
     """The character of a virtual representation, as an element of R(T)."""
-    out = CharElt.zero()
-    for lam, c in decomp.items():
-        out = out + irreducible_character(datum, lam, strict=strict) * c
-    return out
+    out: dict[Weight, int] = {}
+    for lam, c in decomp._terms.items():
+        _add_scaled(out, irreducible_character(datum, lam, strict=strict)._terms.items(), c)
+    return CharElt._raw(out)
 
 
 def induce(datum: RootDatum, u: CharElt, strict: bool | None = None) -> IrredDecomp:
@@ -177,16 +177,6 @@ def _dimension_sum(datum: RootDatum, decomp: IrredDecomp) -> int:
     return sum(weyl_dimension(datum, lam) for lam in decomp._terms)
 
 
-def _add_scaled(acc: dict[Weight, int], terms: Mapping[Weight, int], scale: int) -> None:
-    """acc += scale * terms, for a nonzero scale, keeping no zero entry."""
-    for lam, c in terms.items():
-        v = acc.get(lam, 0) + scale * c
-        if v:
-            acc[lam] = v
-        else:
-            del acc[lam]
-
-
 def _add_product(
     datum: RootDatum,
     acc: dict[Weight, int],
@@ -200,10 +190,10 @@ def _add_product(
     the others go through one R(T) product and one fold."""
     chi_0 = (0,) * datum.rank
     if chi_0 in a:
-        _add_scaled(acc, b, scale * a[chi_0])
+        _add_scaled(acc, b.items(), scale * a[chi_0])
     shifts = {lam: c for lam, c in a.items() if lam != chi_0}
     if shifts:
-        _add_scaled(acc, induce(datum, CharElt._raw(shifts) * character)._terms, scale)
+        _add_scaled(acc, induce(datum, CharElt._raw(shifts) * character)._terms.items(), scale)
 
 
 def orbit_sum(datum: RootDatum, weight: Sequence[int]) -> CharElt:
@@ -232,11 +222,12 @@ class SteinbergBasis:
     pivots: _Triples
     entries: tuple[_Triples, ...]
 
+    @cached_property
+    def _weight_by_element(self) -> dict[WeylElt, Weight]:
+        return dict(self.weights)
+
     def weight_of(self, w: WeylElt) -> Weight:
-        for elt, lam in self.weights:
-            if elt == w:
-                return lam
-        raise KeyError(w)
+        return self._weight_by_element[w]
 
     def element_of(self, w: WeylElt) -> CharElt:
         return monomial(self.weight_of(w))
@@ -397,7 +388,7 @@ def decompose_over_invariants(
         for x, nu, s in column:
             c_x = out[x]._terms
             if nu == chi_0:
-                _add_scaled(acc, c_x, -s)
+                _add_scaled(acc, c_x.items(), -s)
             elif c_x:
                 # the entry is the factor restricted: its character is cached,
                 # while c_x's would need irreducibles that grow with u
@@ -416,8 +407,7 @@ def reconstruct_over_invariants(
     """Evaluate sum of restrict(coords[w]) * e_w; inverse of the decomposition."""
     if basis is None:
         basis = _default_basis(datum)
-    weight = dict(basis.weights)
-    out = CharElt.zero()
+    out: dict[Weight, int] = {}
     for w, dec in coords.items():
-        out = out + restrict(datum, dec) * monomial(weight[w])
-    return out
+        _add_scaled(out, (restrict(datum, dec) * basis.element_of(w))._terms.items())
+    return CharElt._raw(out)

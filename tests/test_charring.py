@@ -120,6 +120,9 @@ def test_pow():
     assert y**-1 == monomial((-1,), -1)
     assert y**-2 == monomial((-2,))
     assert y**-1 * y == one
+    # zero has no rank to give its zeroth power
+    with pytest.raises(ValueError, match="rank"):
+        CharElt.zero() ** 0
 
 
 def test_pow_of_non_unit_rejected():

@@ -406,6 +406,7 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys)[0] == 1
     assert run_cli(capsys, "apply", "A1")[0] == 1  # missing arguments
     assert run_cli(capsys, "info", "A1", "--threads", "0")[0] == 1
+    assert run_cli(capsys, "info", "A1", "--seed", "1")[0] == 1  # only selftest takes a seed
 
 
 def test_strict_flag_accepted(capsys):

@@ -2,8 +2,12 @@
 
 import random
 import time
+from functools import reduce
+from operator import add
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from weylkit.charring import CharElt, monomial
 from weylkit.covers import build_cover, decompose_cover, pullback, reconstruct_cover
@@ -79,6 +83,32 @@ def test_round_trip():
             parts = decompose_cover(cover, u)
             assert set(parts) == set(cover.coset_reps)  # zeros included
             assert reconstruct_cover(cover, parts) == u
+
+
+@st.composite
+def _cover_and_parts(draw):
+    # one part per coset, some holding a term and its negative, which cancel
+    # completely
+    cover = build_cover(draw(st.sampled_from(MATRICES)))
+    weight = st.tuples(*[st.integers(-3, 3)] * cover.rank)
+    parts = {}
+    for rep in cover.coset_reps:
+        terms = draw(st.lists(st.tuples(weight, st.integers(-2, 2)), max_size=3))
+        if terms and draw(st.booleans()):
+            terms.append((terms[0][0], -terms[0][1]))
+        parts[rep] = CharElt(terms)
+    return cover, parts
+
+
+@given(_cover_and_parts())
+@example((build_cover([[2]]), {(0,): CharElt([((1,), 1), ((1,), -1)]), (1,): monomial((0,))}))
+def test_reconstruct_matches_a_fold_by_plus(case):
+    cover, parts = case
+    u = reconstruct_cover(cover, parts)
+    expected = [CharElt._raw({rep: 1}) * pullback(cover, part) for rep, part in parts.items()]
+    assert u == reduce(add, expected, CharElt.zero())
+    assert 0 not in u._terms.values()
+    assert decompose_cover(cover, u) == parts
 
 
 def test_components_partition_the_support():

@@ -1,11 +1,16 @@
 """Operator algebra: basis coordinates, augmentation ideal, invariance."""
 
 import random
+from functools import reduce
+from operator import add
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import weylkit.hecke as hecke
 from weylkit.charring import CharElt, monomial, weyl_act_simple
-from weylkit.demazure import delta_prime, top
+from weylkit.demazure import delta_prime, partial, top
 from weylkit.hecke import (
     HeckeOp,
     OpExpr,
@@ -16,7 +21,7 @@ from weylkit.hecke import (
     to_basis,
 )
 from weylkit.repring import orbit_sum, steinberg_basis
-from weylkit.rootdata import build_root_datum
+from weylkit.rootdata import NAMED_TYPES, build_root_datum
 from weylkit.selftest import random_char_elt
 from weylkit.weyl import weyl_group
 
@@ -217,3 +222,81 @@ def test_hecke_op_apply_matches_manual_sum():
     op = HeckeOp({group.simple(1): coeff})
     u = monomial((2,)) - monomial((-1,))
     assert op.apply(A1, u) == coeff * partial(A1, group.simple(1), u)
+
+
+# --- sums against a reference fold by + ---------------------------------------
+
+DATA = {name: build_root_datum(name) for name in NAMED_TYPES}
+X = monomial((1, 0))
+
+
+def _fold(terms):
+    return reduce(add, terms, CharElt.zero())
+
+
+def _small_elts(rank):
+    weight = st.tuples(*[st.integers(-1, 1)] * rank)
+    return st.lists(st.tuples(weight, st.integers(-2, 2)), max_size=2).map(CharElt)
+
+
+@st.composite
+def _group_op_and_element(draw):
+    # with u = 1 every partial_w(u) is 1, so v and -v at two elements cancel
+    # completely, in apply and in the coefficient sum
+    datum = DATA[draw(st.sampled_from(sorted(DATA)))]
+    elements = st.sampled_from(weyl_group(datum).elements)
+    coeffs = {w: draw(_small_elts(datum.rank)) for w in draw(st.lists(elements, max_size=3))}
+    if draw(st.booleans()):
+        v, w, x = draw(_small_elts(datum.rank)), draw(elements), draw(elements)
+        if w != x:
+            coeffs.update({w: v, x: -v})
+        return datum, HeckeOp(coeffs), CharElt.one(datum.rank)
+    return datum, HeckeOp(coeffs), draw(_small_elts(datum.rank))
+
+
+@settings(max_examples=60)
+@given(_group_op_and_element())
+@example((A2, HeckeOp({weyl_group(A2).identity: X, weyl_group(A2).longest: -X}), CharElt.one(2)))
+def test_hecke_op_sums_match_a_fold_by_plus(case):
+    datum, op, u = case
+    image = op.apply(datum, u)
+    assert image == _fold(coeff * partial(datum, w, u) for w, coeff in op.items())
+    assert 0 not in image._terms.values()
+    total = op.coefficient_sum()
+    assert total == _fold(coeff for _, coeff in op.items())
+    assert 0 not in total._terms.values()
+
+
+@st.composite
+def _group_and_expression(draw):
+    datum = DATA[draw(st.sampled_from(sorted(DATA)))]
+    index = st.integers(1, datum.rank)
+    atom = st.one_of(
+        st.builds(OpExpr.d, index),
+        st.builds(OpExpr.dp, index),
+        st.builds(OpExpr.w, index),
+        st.builds(OpExpr.m, _small_elts(datum.rank)),
+    )
+    return datum, reduce(OpExpr.__mul__, draw(st.lists(atom, min_size=1, max_size=3)))
+
+
+def _sum_by_plus(terms):
+    # the reference for hecke._sum_by_element
+    out = {}
+    for w, u in terms:
+        out[w] = out.get(w, CharElt.zero()) + u
+    return HeckeOp(out)
+
+
+@settings(max_examples=60)
+@given(_group_and_expression())
+# s_1 s_1 = 1: the coefficients at s_1 cancel completely
+@example((A2, OpExpr.w(1) * OpExpr.w(1)))
+@example((B3, OpExpr.dp(2) * OpExpr.m(monomial((0, 1, 0))) * OpExpr.w(2)))
+def test_to_basis_matches_a_fold_by_plus(case):
+    datum, expr = case
+    op = to_basis(datum, expr)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hecke, "_sum_by_element", _sum_by_plus)
+        assert op == to_basis(datum, expr)
+    assert all(u and 0 not in u._terms.values() for _, u in op.items())

@@ -2,10 +2,11 @@
 
 import dataclasses
 import random
+from functools import reduce
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylkit.charring import CharElt, monomial
@@ -287,6 +288,11 @@ def test_steinberg_weights_frozen():
     group = weyl_group(A2)
     assert basis2.weight_of(group.identity) == (0, 0)
     assert basis2.element_of(group.identity) == CharElt.one(2)
+    # an element of another group's W has no weight here
+    stranger = weyl_group(A1).identity
+    with pytest.raises(KeyError) as raised:
+        basis2.weight_of(stranger)
+    assert raised.value.args == (stranger,)
 
 
 def test_steinberg_basis_verification_paths():
@@ -446,6 +452,8 @@ def _group_and_element(draw):
 
 @settings(max_examples=100)
 @given(_group_and_element())
+@example((A2, CharElt([((1, 0), 1), ((1, 0), -1)])))  # zero, cancelled on construction
+@example((A1, irreducible_character(A1, (2,)) - CharElt.one(1)))
 def test_coordinates_match_rt_back_substitution(case):
     datum, u = case
     basis = repring._default_basis(datum)
@@ -463,6 +471,8 @@ def _group_and_two_decompositions(draw):
 
 @settings(max_examples=100)
 @given(_group_and_two_decompositions())
+@example((A2, IrredDecomp([((1, 1), 1), ((1, 1), -1)]), IrredDecomp({(1, 0): 1})))
+@example((A1, IrredDecomp({(2,): 1, (0,): -1}), IrredDecomp({(1,): 1, (0,): 1})))
 def test_tensor_product_matches_rt_product(case):
     datum, a, b = case
     expected = decompose_into_irreducibles(datum, restrict(datum, a) * restrict(datum, b))
@@ -542,3 +552,43 @@ def test_strict_coordinates_catch_a_wrong_stored_entry():
     coords = decompose_over_invariants(b2, u, wrong)
     assert coords != decompose_over_invariants(b2, u, basis)
     assert reconstruct_over_invariants(b2, coords, wrong) != u
+
+
+def _fold(terms):
+    """The reference sum: CharElt.__add__ folded over the terms."""
+    return reduce(add, terms, CharElt.zero())
+
+
+@st.composite
+def _group_and_coordinates(draw):
+    # coordinates at a few elements of W, some holding an entry and its
+    # negative, which cancel completely
+    name = draw(st.sampled_from(READ_OFF_GROUPS))
+    datum = build_root_datum(name)
+    top_entry = 2 if datum.rank <= 2 else 1
+    weight = st.tuples(*[st.integers(0, top_entry)] * datum.rank)
+    coords = {}
+    for w in draw(st.lists(st.sampled_from(weyl_group(datum).elements), min_size=1, max_size=3)):
+        terms = draw(st.lists(st.tuples(weight, st.integers(-2, 2)), max_size=3))
+        if terms and draw(st.booleans()):
+            terms.append((terms[0][0], -terms[0][1]))
+        coords[w] = IrredDecomp(terms)
+    return datum, coords
+
+
+@settings(max_examples=100)
+@given(_group_and_coordinates())
+@example((A1, {weyl_group(A1).identity: IrredDecomp([((1,), 1), ((1,), -1)])}))
+# chi_2 - chi_0 cancels at the weight 0, and chi_(1,1) - 2 chi_0 on A2 too
+@example((A1, {weyl_group(A1).longest: IrredDecomp({(2,): 1, (0,): -1})}))
+@example((A2, {weyl_group(A2).identity: IrredDecomp({(1, 1): 1, (0, 0): -2})}))
+def test_restrict_and_reconstruct_match_a_fold_by_plus(case):
+    datum, coords = case
+    basis = repring._default_basis(datum)
+    for dec in coords.values():
+        character = restrict(datum, dec)
+        assert character == _fold(irreducible_character(datum, lam) * c for lam, c in dec.items())
+        assert 0 not in character._terms.values()
+    u = reconstruct_over_invariants(datum, coords, basis)
+    assert u == _fold(restrict(datum, dec) * basis.element_of(w) for w, dec in coords.items())
+    assert 0 not in u._terms.values()
