@@ -208,7 +208,7 @@ def _cmd_steinberg(args: argparse.Namespace) -> int:
     payload: dict = {"formula": basis.formula_tag, "basis": basis_json}
     if args.decompose is not None:
         u = parse_char_expression(args.decompose, datum.rank)
-        coords = decompose_over_invariants(datum, u, basis)
+        coords = decompose_over_invariants(datum, u, basis, strict=True if args.strict else None)
         dec_json = []
         for w, _ in basis.items():
             dec = coords[w]

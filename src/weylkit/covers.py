@@ -16,7 +16,6 @@ and sends 0 to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Mapping, Sequence
@@ -24,20 +23,29 @@ from typing import Mapping, Sequence
 from .charring import CharElt, _add_scaled
 from .errors import SingularMatrix
 from .intlinalg import determinant, mat_vec, smith_normal_form
-from .rootdata import Weight
+from .rootdata import Weight, _Record
 
 __all__ = ["CoverDatum", "build_cover", "pullback", "decompose_cover", "reconstruct_cover"]
 
 
-@dataclass(frozen=True)
-class CoverDatum:
-    rank: int
-    matrix: tuple[tuple[int, ...], ...]
-    det: int
-    u: tuple[tuple[int, ...], ...]
-    u_inv: tuple[tuple[int, ...], ...]
-    diag: tuple[int, ...]
-    v: tuple[tuple[int, ...], ...]
+class CoverDatum(_Record):
+    """A cover matrix M with det M and its Smith normal form U*M*V = D
+    (module docstring): u, u_inv and v are U, U^{-1} and V, diag the
+    diagonal of D. Equality and hash read every field."""
+
+    _FIELDS = ("rank", "matrix", "det", "u", "u_inv", "diag", "v")
+
+    def __init__(
+        self,
+        rank: int,
+        matrix: tuple[tuple[int, ...], ...],
+        det: int,
+        u: tuple[tuple[int, ...], ...],
+        u_inv: tuple[tuple[int, ...], ...],
+        diag: tuple[int, ...],
+        v: tuple[tuple[int, ...], ...],
+    ):
+        self._set(rank=rank, matrix=matrix, det=det, u=u, u_inv=u_inv, diag=diag, v=v)
 
     @property
     def index(self) -> int:

@@ -19,12 +19,11 @@ exactly the delta'_j themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from .charring import CharElt, _add_scaled, is_weyl_invariant, monomial, weyl_act_simple
 from .demazure import _walk, delta, delta_prime, partial, top
-from .rootdata import RootDatum, Weight
+from .rootdata import RootDatum, Weight, _Record
 from .weyl import WeylElt, weyl_group
 
 __all__ = [
@@ -97,11 +96,15 @@ class HeckeOp:
         }
 
 
-@dataclass(frozen=True)
-class OpAtom:
-    kind: str  # "d" | "dp" | "w" | "top" | "m"
-    index: int = 0
-    elt: CharElt | None = field(default=None, compare=True)
+class OpAtom(_Record):
+    """One factor of an OpExpr: kind is "d", "dp", "w", "top" or "m".
+    Equality and hash read every field, so an atom that holds a CharElt is
+    unhashable, like the CharElt."""
+
+    _FIELDS = ("kind", "index", "elt")
+
+    def __init__(self, kind: str, index: int = 0, elt: CharElt | None = None):
+        self._set(kind=kind, index=index, elt=elt)
 
     def apply(self, datum: RootDatum, u: CharElt, strict: bool | None = None) -> CharElt:
         if self.kind == "d":
@@ -125,11 +128,13 @@ class OpAtom:
         return f"{self.kind}[{self.index}]"
 
 
-@dataclass(frozen=True)
-class OpExpr:
+class OpExpr(_Record):
     """A composition of operator atoms; the rightmost factor acts first."""
 
-    atoms: tuple[OpAtom, ...]
+    _FIELDS = ("atoms",)
+
+    def __init__(self, atoms: tuple[OpAtom, ...]):
+        self._set(atoms=atoms)
 
     @classmethod
     def d(cls, j: int) -> "OpExpr":

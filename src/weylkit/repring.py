@@ -39,8 +39,6 @@ do.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul, sub
 from typing import Iterator, Mapping, Sequence
@@ -49,7 +47,7 @@ from .charring import CharElt, _add_scaled, _dominant_fold, _TermMap, is_weyl_in
 from .config import resolve_strict
 from .demazure import top
 from .errors import FreenessCheckFailed, InternalInvariantError, NotInvariant
-from .rootdata import RootDatum, Weight, _walk_to_dominant
+from .rootdata import RootDatum, Weight, _Record, _walk_to_dominant
 from .weyl import WeylElt, orbit, weyl_group
 
 __all__ = [
@@ -205,22 +203,32 @@ def orbit_sum(datum: RootDatum, weight: Sequence[int]) -> CharElt:
 _Triples = tuple[tuple[WeylElt, Weight, int], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class SteinbergBasis:
+class SteinbergBasis(_Record):
     """A monomial basis of R(T) as a free R(G)-module, indexed by W.
 
     pivots is the freeness certificate: triples (v, phi, sign) in elimination
     order with top(e_v e^phi) = sign * chi_0 and top(e_x e^phi) = 0 for every
     x pivoted after v (module docstring). entries[n] keeps the other nonzero
     entries of the column of pivots[n], as triples (x, nu, s) with
-    top(e_x e^phi) = s * chi_nu; every such x was pivoted before v.
+    top(e_x e^phi) = s * chi_nu; every such x was pivoted before v. A basis
+    equals only itself.
     """
 
-    datum: RootDatum
-    weights: tuple[tuple[WeylElt, Weight], ...]
-    formula_tag: str
-    pivots: _Triples
-    entries: tuple[_Triples, ...]
+    _FIELDS = ("datum", "weights", "formula_tag", "pivots", "entries")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        datum: RootDatum,
+        weights: tuple[tuple[WeylElt, Weight], ...],
+        formula_tag: str,
+        pivots: _Triples,
+        entries: tuple[_Triples, ...],
+    ):
+        self._set(
+            datum=datum, weights=weights, formula_tag=formula_tag, pivots=pivots, entries=entries
+        )
 
     @cached_property
     def _weight_by_element(self) -> dict[WeylElt, Weight]:
@@ -325,32 +333,14 @@ def _pairing_pivots(
     return tuple(pivots), tuple(entries)
 
 
-def _warn_ignored(function: str, **params: object) -> None:
-    """A DeprecationWarning naming the parameters a caller passed that do
-    nothing."""
-    names = [name for name, value in params.items() if value is not None]
-    if names:
-        warnings.warn(
-            f"{function} ignores {' and '.join(names)}, which will be removed",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-
-def steinberg_basis(
-    datum: RootDatum,
-    verify: bool | None = None,
-    verify_extent: int | None = None,
-) -> SteinbergBasis:
+def steinberg_basis(datum: RootDatum) -> SteinbergBasis:
     """Construct the basis and certify that it is one.
 
     Every construction pairs the basis against f_w = e^{-rho-lambda_{w w0}},
     folds the nonzero entries of the pairing matrix and keeps them, and finds
     a unitriangular pivot order, which proves freeness (module docstring);
-    FreenessCheckFailed when there is none. verify and verify_extent do
-    nothing: passing either warns with DeprecationWarning.
+    FreenessCheckFailed when there is none.
     """
-    _warn_ignored("steinberg_basis", verify=verify, verify_extent=verify_extent)
     weights = _steinberg_weights(datum)
     pivots, entries = _pairing_pivots(datum, weights)
     return SteinbergBasis(datum, weights, _FORMULA_TAG, pivots, entries)
@@ -365,7 +355,7 @@ def decompose_over_invariants(
     datum: RootDatum,
     u: CharElt,
     basis: SteinbergBasis | None = None,
-    retries: int | None = None,
+    strict: bool | None = None,
 ) -> dict[WeylElt, IrredDecomp]:
     """Coordinates of u in the Steinberg basis, as virtual characters.
 
@@ -375,10 +365,8 @@ def decompose_over_invariants(
     the basis keeps for that column, with the products in R(G). Each c_v is
     exact, so the coordinates reconstruct u. Under strict mode they are
     reconstructed (reconstruct_over_invariants) and compared with u, and a
-    mismatch raises InternalInvariantError. retries does nothing: passing it
-    warns with DeprecationWarning.
+    mismatch raises InternalInvariantError.
     """
-    _warn_ignored("decompose_over_invariants", retries=retries)
     if basis is None:
         basis = _default_basis(datum)
     chi_0 = (0,) * datum.rank
@@ -394,7 +382,7 @@ def decompose_over_invariants(
                 # while c_x's would need irreducibles that grow with u
                 _add_product(datum, acc, c_x, {nu: 1}, irreducible_character(datum, nu), -s)
         out[v] = IrredDecomp._raw(acc if sign == 1 else {lam: -c for lam, c in acc.items()})
-    if resolve_strict(None) and reconstruct_over_invariants(datum, out, basis) != u:
+    if resolve_strict(strict) and reconstruct_over_invariants(datum, out, basis) != u:
         raise InternalInvariantError("Steinberg coordinates do not reconstruct u")
     return {w: out[w] for w, _ in basis.weights}
 

@@ -15,7 +15,6 @@ arbitrary (also non-simple) coroots stay exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -33,8 +32,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Root:
+class _Record:
+    """Base of the package's small immutable records, a plain class where a
+    frozen dataclass would do: importing dataclasses loads inspect and ast,
+    which cost a fresh CLI process more than most commands compute.
+
+    A subclass's __init__ stores its fields with _set, and _FIELDS names them
+    in that order, for the repr and for _compared. A record equals a record
+    of its own class with the same _compared() tuple, and hashes as that
+    tuple. Assigning or deleting an attribute raises AttributeError
+    afterwards; functools.cached_property still works, as it writes the
+    instance dict directly.
+    """
+
+    _FIELDS: tuple[str, ...] = ()
+
+    def _set(self, **fields: object) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _compared(self) -> tuple:
+        """The fields that equality and hash read: all of _FIELDS, unless a
+        subclass reads fewer."""
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._compared() == other._compared()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Root(_Record):
     """A root, kept in both coordinate systems plus its coroot functional.
 
     root_coords: coefficients over the simple roots.
@@ -42,9 +83,10 @@ class Root:
     coroot: integer functional f with f . mu == <mu, alpha-check>.
     """
 
-    root_coords: Weight
-    weight_coords: Weight
-    coroot: Weight
+    _FIELDS = ("root_coords", "weight_coords", "coroot")
+
+    def __init__(self, root_coords: Weight, weight_coords: Weight, coroot: Weight):
+        self._set(root_coords=root_coords, weight_coords=weight_coords, coroot=coroot)
 
     @property
     def height(self) -> int:
@@ -89,15 +131,30 @@ def _validate_cartan(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    """Validated finite-type root datum; immutable and hashable."""
+class RootDatum(_Record):
+    """Validated finite-type root datum; immutable and hashable. Equality
+    and hash read the rank and the Cartan matrix only."""
 
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Root, ...] = field(compare=False)
-    weyl_vector: Weight = field(compare=False)
-    label: str | None = field(default=None, compare=False)
+    _FIELDS = ("rank", "cartan", "positive_roots", "weyl_vector", "label")
+
+    def __init__(
+        self,
+        rank: int,
+        cartan: tuple[tuple[int, ...], ...],
+        positive_roots: tuple[Root, ...],
+        weyl_vector: Weight,
+        label: str | None = None,
+    ):
+        self._set(
+            rank=rank,
+            cartan=cartan,
+            positive_roots=positive_roots,
+            weyl_vector=weyl_vector,
+            label=label,
+        )
+
+    def _compared(self) -> tuple:
+        return (self.rank, self.cartan)
 
     @property
     def num_positive_roots(self) -> int:

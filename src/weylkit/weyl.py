@@ -19,13 +19,12 @@ longest element has the key -rho, so its word needs no enumeration
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 from typing import Iterator, Sequence
 
 from .errors import SafetyBoundExceeded
-from .rootdata import RootDatum, Weight, _walk_to_dominant
+from .rootdata import RootDatum, Weight, _Record, _walk_to_dominant
 
 __all__ = [
     "WeylElt",
@@ -37,17 +36,31 @@ __all__ = [
 ELEMENT_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class WeylElt:
+class WeylElt(_Record):
     """A Weyl group element: its key w(rho) and its word (module docstring).
 
     Equality and hash go through the key. columns is the datum's
     RootDatum._simple_columns, shared by every element, which act reads.
     """
 
-    key: Weight
-    word: tuple[int, ...] = field(compare=False)
-    columns: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False, repr=False)
+    def __init__(
+        self,
+        key: Weight,
+        word: tuple[int, ...],
+        columns: tuple[tuple[tuple[int, int], ...], ...],
+    ):
+        self._set(key=key, word=word, columns=columns)
+
+    # elements key the coefficient dicts of HeckeOp and of Steinberg
+    # coordinates, so they compare their key directly, without the call to
+    # _compared that _Record's methods make
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is WeylElt:
+            return self.key == other.key  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.key,))
 
     @property
     def length(self) -> int:

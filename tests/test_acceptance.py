@@ -12,6 +12,7 @@ import time
 from contextlib import contextmanager
 from itertools import product
 
+from intlinalg_helpers import integer_kernel, lattices_equal
 from weylkit.charring import CharElt, monomial, weyl_act_simple
 from weylkit.covers import build_cover, decompose_cover, pullback, reconstruct_cover
 from weylkit.demazure import (
@@ -23,7 +24,6 @@ from weylkit.demazure import (
     top,
 )
 from weylkit.hecke import HeckeOp, OpExpr, in_augmentation_ideal, to_basis
-from weylkit.intlinalg import integer_kernel, lattices_equal
 from weylkit.repring import (
     IrredDecomp,
     decompose_over_invariants,

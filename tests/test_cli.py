@@ -196,6 +196,24 @@ def test_steinberg_verify_flag(capsys):
     assert code == 0
 
 
+def test_steinberg_strict_flag_reconstructs_the_coordinates(capsys, monkeypatch):
+    import weylkit.repring as repring
+
+    # with the default off, --strict alone asks for the reconstruction check
+    set_strict_default(False)
+    calls = []
+    real = repring.reconstruct_over_invariants
+    monkeypatch.setattr(
+        repring, "reconstruct_over_invariants", lambda *args: calls.append(args) or real(*args)
+    )
+    argv = ("steinberg", "A2", "--decompose", "e[1,-1]+2*e[0,1]")
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0 and calls == []
+    code, strict, _ = run_cli(capsys, *argv, "--strict")
+    assert code == 0 and len(calls) == 1
+    assert strict == plain
+
+
 def test_failed_freeness_certificate_exits_two(capsys, monkeypatch):
     import weylkit.repring as repring
     from weylkit.weyl import weyl_group

@@ -4,17 +4,8 @@ import random
 
 import pytest
 
-from weylkit.intlinalg import (
-    determinant,
-    identity_matrix,
-    integer_kernel,
-    integer_solve,
-    lattices_equal,
-    mat_mul,
-    mat_vec,
-    smith_normal_form,
-    snf_rank,
-)
+from intlinalg_helpers import integer_kernel, integer_solve, lattices_equal, mat_mul, snf_rank
+from weylkit.intlinalg import determinant, identity_matrix, mat_vec, smith_normal_form
 
 
 def random_matrix(rng, m, n, span=6):

@@ -1,6 +1,10 @@
-"""Import layering of the package's modules, read from the source with ast."""
+"""Import layering of the package's modules, read from the source with ast,
+and the standard-library modules a fresh CLI process must not load."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import weylkit
@@ -56,3 +60,15 @@ def test_core_modules_import_only_lower_layers():
     # the two top layers are independent of each other
     assert "repring" not in package_imports("hecke")
     assert "hecke" not in package_imports("repring")
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # -S skips site, so no .pth file in the environment can import them first
+    code = "import sys, weylkit.cli; print(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert "weylkit.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})

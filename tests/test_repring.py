@@ -1,6 +1,5 @@
 """Invariant subring: characters, decompositions, module coordinates."""
 
-import dataclasses
 import random
 from functools import reduce
 from operator import add
@@ -16,6 +15,7 @@ from weylkit.errors import FreenessCheckFailed, InternalInvariantError, NotInvar
 import weylkit.repring as repring
 from weylkit.repring import (
     IrredDecomp,
+    SteinbergBasis,
     decompose_into_irreducibles,
     decompose_over_invariants,
     induce,
@@ -296,25 +296,24 @@ def test_steinberg_weights_frozen():
 
 
 def test_steinberg_basis_verification_paths():
-    # every construction is certified; verify, verify_extent and retries
-    # have nothing left to change, and passing them warns
+    # every construction is certified; verify, verify_extent and retries,
+    # which had nothing left to change, are gone
     b2 = build_root_datum("B2")
     basis = steinberg_basis(b2)
     assert len(basis.weights) == len(basis.pivots) == 8
-    with pytest.warns(DeprecationWarning, match="ignores verify,"):
-        unverified = steinberg_basis(b2, verify=False)
-    with pytest.warns(DeprecationWarning, match="ignores verify and verify_extent"):
-        verified = steinberg_basis(b2, verify=True, verify_extent=2)
-    assert verified.pivots == basis.pivots == unverified.pivots
+    with pytest.raises(TypeError, match="verify"):
+        steinberg_basis(b2, verify=False)
+    with pytest.raises(TypeError, match="verify_extent"):
+        steinberg_basis(b2, verify_extent=2)
+    again = steinberg_basis(b2)
+    assert again.pivots == basis.pivots
     rng = random.Random("steinberg-options:B2")
     for _ in range(3):
         u = random_char_elt(rng, b2.rank, nterms=3, span=2)
-        with pytest.warns(DeprecationWarning, match="ignores retries"):
-            coords = decompose_over_invariants(b2, u, unverified, retries=0)
-        assert coords == decompose_over_invariants(b2, u, basis)
-    g2 = build_root_datum("G2")
-    with pytest.warns(DeprecationWarning, match="ignores verify,"):
-        assert len(steinberg_basis(g2, verify=False).weights) == 12
+        with pytest.raises(TypeError, match="retries"):
+            decompose_over_invariants(b2, u, again, retries=0)
+        assert decompose_over_invariants(b2, u, again) == decompose_over_invariants(b2, u, basis)
+    assert len(steinberg_basis(build_root_datum("G2")).weights) == 12
 
 
 def _patched_weights(monkeypatch, datum, weights):
@@ -542,7 +541,7 @@ def test_strict_coordinates_catch_a_wrong_stored_entry():
     (x, nu, s), *others = basis.entries[n]
     entries = list(basis.entries)
     entries[n] = ((x, nu, -s), *others)
-    wrong = dataclasses.replace(basis, entries=tuple(entries))
+    wrong = SteinbergBasis(basis.datum, basis.weights, basis.formula_tag, basis.pivots, tuple(entries))
     # e_x has the coordinate chi_0 at x alone, so the flipped entry moves the
     # coordinate of pivots[n]
     u = basis.element_of(x)
