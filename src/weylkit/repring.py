@@ -27,20 +27,23 @@ c = b P^{-1} is then integral. This proves freeness for the convention
 recorded in formula_tag, on every construction.
 
 The basis keeps the other nonzero entries of each pivot's column, all in
-rows pivoted earlier. decompose_over_invariants back-substitutes in R(G)
-along the pivot order: induce is R(G)-linear, so b_phi = induce(u e^phi) =
-sum over x of c_x P[x][phi], and the pivot (v, phi, sign) gives
-c_v = sign * (b_phi - sum of c_x P[x][phi] over the kept entries). The
-products are R(G) products by Brauer's formula (tensor_product), and an
-entry +-chi_0 is a scaled addition; no remainder in R(T) is formed. The
-coordinates reconstruct u by construction, and strict mode checks that they
-do.
+rows pivoted earlier. decompose_over_invariants back-substitutes along the
+pivot order: induce is R(G)-linear, so b_phi = induce(u e^phi) = sum over x
+of c_x P[x][phi], and the pivot (v, phi, sign) gives
+c_v = sign * (b_phi - sum of s c_x chi_nu over the kept entries (x, nu, s)).
+By Brauer's formula, c chi_nu = induce(c' chi_nu), where c' is c with each
+chi_lambda read as e^lambda (tensor_product). induce is Z-linear, so the
+column is one sum in R(T) and one fold: c_v = induce(sign * (u e^phi - sum
+over nu of shifts_nu' chi_nu)), with shifts_nu the R(G) sum of s c_x over
+the entries at nu. The entry chi_0 = 1 needs no case of its own, as its
+product is a shift. The coordinates reconstruct u by construction, and
+strict mode checks that they do.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterator, Mapping, Sequence
 
 from .charring import CharElt, _add_scaled, _dominant_fold, _TermMap, is_weyl_invariant, monomial
@@ -156,42 +159,19 @@ def induce(datum: RootDatum, u: CharElt, strict: bool | None = None) -> IrredDec
 def tensor_product(datum: RootDatum, a: IrredDecomp, b: IrredDecomp) -> IrredDecomp:
     """The product of a and b in R(G), by Brauer's formula (Klimyk 1968;
     Humphreys, Introduction to Lie Algebras and Representation Theory,
-    section 24): chi_lambda chi_nu = induce(e^lambda chi_nu), since top is
-    R(G)-linear and top(e^lambda) = chi_lambda for dominant lambda. So the
-    product is
-    induce(sum of a_lambda e^lambda * restrict(b)), one R(T) product and one
-    fold, with b the factor of the smaller dimension sum; an entry
-    a_0 chi_0 of a adds a_0 b.
+    section 24): chi_lambda chi_nu = induce(e^lambda chi_nu), since induce is
+    R(G)-linear and induce(e^lambda) = chi_lambda for dominant lambda. So the
+    product is induce(sum of a_lambda e^lambda * restrict(b)), one R(T)
+    product and one fold, with b the factor of the smaller dimension sum.
     """
     if _dimension_sum(datum, a) < _dimension_sum(datum, b):
         a, b = b, a
-    out: dict[Weight, int] = {}
-    _add_product(datum, out, a._terms, b._terms, restrict(datum, b), 1)
-    return IrredDecomp._raw(out)
+    return induce(datum, CharElt._raw(a._terms) * restrict(datum, b))
 
 
 def _dimension_sum(datum: RootDatum, decomp: IrredDecomp) -> int:
     # at least the number of weights of restrict(decomp)
     return sum(weyl_dimension(datum, lam) for lam in decomp._terms)
-
-
-def _add_product(
-    datum: RootDatum,
-    acc: dict[Weight, int],
-    a: Mapping[Weight, int],
-    b: Mapping[Weight, int],
-    character: CharElt,
-    scale: int,
-) -> None:
-    """acc += scale * (a times b) in R(G), with character = restrict(b)
-    (tensor_product): the entry at chi_0 of a is a scaled addition of b, and
-    the others go through one R(T) product and one fold."""
-    chi_0 = (0,) * datum.rank
-    if chi_0 in a:
-        _add_scaled(acc, b.items(), scale * a[chi_0])
-    shifts = {lam: c for lam, c in a.items() if lam != chi_0}
-    if shifts:
-        _add_scaled(acc, induce(datum, CharElt._raw(shifts) * character)._terms.items(), scale)
 
 
 def orbit_sum(datum: RootDatum, weight: Sequence[int]) -> CharElt:
@@ -359,29 +339,31 @@ def decompose_over_invariants(
 ) -> dict[WeylElt, IrredDecomp]:
     """Coordinates of u in the Steinberg basis, as virtual characters.
 
-    Back-substitution in R(G) along the basis's pivot order (module
-    docstring): each pivot (v, phi, sign) gives
-    c_v = sign * (induce(u e^phi) - sum of c_x * P[x][phi]) over the entries
-    the basis keeps for that column, with the products in R(G). Each c_v is
-    exact, so the coordinates reconstruct u. Under strict mode they are
+    Back-substitution along the basis's pivot order (module docstring): the
+    pivot (v, phi, sign) gives c_v = induce(sign * (u e^phi - sum over nu of
+    shifts_nu' chi_nu)), one R(T) sum and one fold, where shifts_nu is the
+    sum of s * c_x over the entries (x, nu, s) the basis keeps for that
+    column, and shifts_nu' reads each chi_lambda of it as e^lambda. Each c_v
+    is exact, so the coordinates reconstruct u. Under strict mode they are
     reconstructed (reconstruct_over_invariants) and compared with u, and a
-    mismatch raises InternalInvariantError.
+    mismatch raises InternalInvariantError. A basis of another root datum
+    raises ValueError.
     """
-    if basis is None:
-        basis = _default_basis(datum)
-    chi_0 = (0,) * datum.rank
+    basis = _basis_of(datum, basis)
     out: dict[WeylElt, IrredDecomp] = {}
+    terms = u._terms.items()
     for (v, phi, sign), column in zip(basis.pivots, basis.entries):
-        acc = dict(induce(datum, u * monomial(phi))._terms)
+        shifts: dict[Weight, dict[Weight, int]] = {}
         for x, nu, s in column:
-            c_x = out[x]._terms
-            if nu == chi_0:
-                _add_scaled(acc, c_x.items(), -s)
-            elif c_x:
-                # the entry is the factor restricted: its character is cached,
-                # while c_x's would need irreducibles that grow with u
-                _add_product(datum, acc, c_x, {nu: 1}, irreducible_character(datum, nu), -s)
-        out[v] = IrredDecomp._raw(acc if sign == 1 else {lam: -c for lam, c in acc.items()})
+            if c_x := out[x]._terms:
+                _add_scaled(shifts.setdefault(nu, {}), c_x.items(), s)
+        acc = {tuple(map(add, mu, phi)): sign * c for mu, c in terms}
+        for nu, shift in shifts.items():
+            # the entry is the factor restricted: its character is cached,
+            # while c_x's would need irreducibles that grow with u
+            product = CharElt._raw(shift) * irreducible_character(datum, nu)
+            _add_scaled(acc, product._terms.items(), -sign)
+        out[v] = induce(datum, CharElt._raw(acc))
     if resolve_strict(strict) and reconstruct_over_invariants(datum, out, basis) != u:
         raise InternalInvariantError("Steinberg coordinates do not reconstruct u")
     return {w: out[w] for w, _ in basis.weights}
@@ -392,10 +374,18 @@ def reconstruct_over_invariants(
     coords: Mapping[WeylElt, IrredDecomp],
     basis: SteinbergBasis | None = None,
 ) -> CharElt:
-    """Evaluate sum of restrict(coords[w]) * e_w; inverse of the decomposition."""
-    if basis is None:
-        basis = _default_basis(datum)
+    """Evaluate sum of restrict(coords[w]) * e_w; inverse of the
+    decomposition. A basis of another root datum raises ValueError."""
+    basis = _basis_of(datum, basis)
     out: dict[Weight, int] = {}
     for w, dec in coords.items():
         _add_scaled(out, (restrict(datum, dec) * basis.element_of(w))._terms.items())
     return CharElt._raw(out)
+
+
+def _basis_of(datum: RootDatum, basis: SteinbergBasis | None) -> SteinbergBasis:
+    if basis is None:
+        return _default_basis(datum)
+    if basis.datum != datum:
+        raise ValueError("the basis belongs to another root datum")
+    return basis

@@ -10,10 +10,11 @@ reflections of its word; no element holds a matrix.
 
 The group is enumerated once per root datum, one length at a time from the
 identity: the keys of length l + 1 are the s_j(x) over the keys x of length
-l with x_j > 0. Its order is known in closed form (_order) before that
-starts, and a group of more than ELEMENT_CAP elements is refused then. The
-longest element has the key -rho, so its word needs no enumeration
-(_longest).
+l with x_j > 0. That is the orbit walk (_levels) from the dominant weight
+rho; orbit takes the same walk from the dominant weight of its orbit. The
+group's order is known in closed form (_order) before that starts, and a
+group of more than ELEMENT_CAP elements is refused then. The longest element
+has the key -rho, so its word needs no enumeration (_longest).
 """
 
 from __future__ import annotations
@@ -130,13 +131,7 @@ class WeylGroup:
             raise SafetyBoundExceeded(f"Weyl group has {order} elements, more than {ELEMENT_CAP}")
         self.datum = datum
         rho = datum.weyl_vector
-        keys: list[Weight] = []
-        level = {rho}
-        while level:
-            keys += sorted(level)
-            # left multiplication by s_j adds one to the length exactly
-            # when the j-th coordinate of the key x is positive
-            level = {datum.reflect_simple(j, x) for x in level for j, c in enumerate(x, 1) if c > 0}
+        keys = [key for level in _levels(datum, rho) for key in sorted(level)]
         columns = datum._simple_columns
         self.elements: tuple[WeylElt, ...] = tuple(
             WeylElt(key, _word(datum, key), columns) for key in keys
@@ -211,15 +206,22 @@ def orbit(datum: RootDatum, weight: Sequence[int]) -> tuple[Weight, ...]:
 
 @lru_cache(maxsize=65536)
 def _orbit_cached(datum: RootDatum, start: Weight) -> tuple[Weight, ...]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for lam in frontier:
-            for j in range(1, datum.rank + 1):
-                img = datum.reflect_simple(j, lam)
-                if img not in seen:
-                    seen.add(img)
-                    new.append(img)
-        frontier = new
-    return tuple(sorted(seen))
+    levels = _levels(datum, datum.dominant_representative(start))
+    return tuple(sorted(x for level in levels for x in level))
+
+
+def _levels(datum: RootDatum, dominant: Weight) -> Iterator[set[Weight]]:
+    """The Weyl orbit of a dominant weight, one level at a time: level l + 1
+    holds the s_j(x) over the x in level l with x_j > 0.
+
+    Such a step adds one to the number of positive roots beta with
+    <x, beta-check> < 0, and every x off the dominant chamber has a
+    coordinate x_j < 0, which s_j x then has positive. So the levels are
+    disjoint and cover the orbit. From rho, level l holds the keys of the
+    elements of length l, as left multiplication by s_j adds one to the
+    length exactly when the j-th coordinate of the key is positive.
+    """
+    level = {dominant}
+    while level:
+        yield level
+        level = {datum.reflect_simple(j, x) for x in level for j, c in enumerate(x, 1) if c > 0}

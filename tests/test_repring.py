@@ -534,6 +534,53 @@ def test_coordinates_restrict_nothing(monkeypatch):
     assert calls == []
 
 
+def test_coordinates_fold_once_per_pivot(monkeypatch):
+    # each column is one sum in R(T) and one fold, whatever its entries
+    set_strict_default(False)
+    d4 = build_root_datum("D4")
+    rng = random.Random(1)
+    elements = [random_char_elt(rng, d4.rank, 3, 3) for _ in range(3)]
+    calls = []
+    real = repring.induce
+    monkeypatch.setattr(repring, "induce", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    for u in elements:
+        calls.clear()
+        decompose_over_invariants(d4, u)
+        assert len(calls) == len(weyl_group(d4)) == 192
+
+
+@pytest.mark.parametrize("position", ["middle", "last"])
+@pytest.mark.parametrize("cartan", [F4_CARTAN, D5_CARTAN], ids=["F4", "D5"])
+def test_rank_four_and_five_coordinates_are_rg_linear(cartan, position):
+    # u = chi_nu e_w + e_x has the coordinates chi_nu at w and chi_0 at x
+    set_strict_default(False)
+    datum = build_root_datum(cartan)
+    basis = repring._default_basis(datum)
+    fundamentals = [tuple(int(i == j) for i in range(datum.rank)) for j in range(datum.rank)]
+    nu = min(fundamentals, key=lambda lam: weyl_dimension(datum, lam))
+    assert weyl_dimension(datum, nu) == {4: 26, 5: 10}[datum.rank]
+    w = basis.weights[len(basis.weights) // 2 if position == "middle" else -1][0]
+    x = basis.weights[1][0]
+    u = irreducible_character(datum, nu) * basis.element_of(w) + basis.element_of(x)
+    coords = decompose_over_invariants(datum, u, basis, strict=False)
+    expected = {w: IrredDecomp({nu: 1}), x: IrredDecomp({(0,) * datum.rank: 1})}
+    assert {v: dec for v, dec in coords.items() if dec} == expected
+    assert len(coords) == len(basis.weights)
+
+
+def test_coordinates_reject_a_basis_of_another_datum():
+    b2_basis = steinberg_basis(build_root_datum("B2"))
+    with pytest.raises(ValueError, match="another root datum"):
+        decompose_over_invariants(A2, monomial((1, 0)), b2_basis)
+    coords = {w: IrredDecomp({(0, 0): 1}) for w, _ in b2_basis.items()}
+    with pytest.raises(ValueError, match="another root datum"):
+        reconstruct_over_invariants(A2, coords, b2_basis)
+    # a basis built from the same Cartan matrix is the datum's own
+    a2_basis = steinberg_basis(build_root_datum(((2, -1), (-1, 2))))
+    coords = decompose_over_invariants(A2, monomial((1, 0)), a2_basis)
+    assert reconstruct_over_invariants(A2, coords, a2_basis) == monomial((1, 0))
+
+
 def test_strict_coordinates_catch_a_wrong_stored_entry():
     b2 = build_root_datum("B2")
     basis = steinberg_basis(b2)
