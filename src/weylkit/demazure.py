@@ -64,6 +64,9 @@ __all__ = [
 
 T = TypeVar("T")
 
+# the routes of top
+_METHODS = ("demazure", "weyl", "both")
+
 
 def _simple_index(datum: RootDatum, alpha: int | Root) -> int:
     if isinstance(alpha, Root):
@@ -199,21 +202,13 @@ def top(
     which cross-checks them and fails loudly on disagreement. The demazure
     route builds w0 from its key -rho, so it enumerates W only in strict mode.
     """
-    if method not in ("demazure", "weyl", "both"):
+    if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    demazure_val = None
-    weyl_val = None
-    if method in ("demazure", "both"):
-        w0 = _longest(datum)
-        demazure_val = partial(datum, w0, u, strict)
-    if method in ("weyl", "both"):
-        weyl_val = alternating_quotient(datum, u)
-    if method == "demazure":
-        return demazure_val  # type: ignore[return-value]
     if method == "weyl":
-        return weyl_val  # type: ignore[return-value]
-    if demazure_val != weyl_val:
+        return alternating_quotient(datum, u)
+    demazure_val = partial(datum, _longest(datum), u, strict)
+    if method == "both" and demazure_val != (weyl_val := alternating_quotient(datum, u)):
         raise InternalInvariantError(
             f"top routes disagree: demazure {demazure_val} vs weyl {weyl_val}"
         )
-    return demazure_val  # type: ignore[return-value]
+    return demazure_val

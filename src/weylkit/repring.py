@@ -10,21 +10,29 @@ lambda+rho is dominant. Dividing by J(e^rho) gives top(u) = sum c_lambda
 chi_lambda, and top(u) = u for invariant u.
 
 The Steinberg basis {e_w} makes R(T) a free R(G)-module of rank |W|
-(Steinberg, "On a theorem of Pittie", 1975). Pair it against
-f_w = e^{-rho-lambda_{w w0}}: the entry P[v][w] = top(e_v f_w) is one
-read-off, induce(e^{lambda_v - rho - lambda_{w w0}}), so it is 0 or one
-signed irreducible +-chi_nu. It is nonzero exactly when lambda_v -
-lambda_{w w0} is regular, off every wall <., beta-check> = 0 of a positive
-root beta; steinberg_basis reads the zero entries off one column bitset per
-wall and value, and folds only the others (2.2% of the |W|^2 entries on D4,
-0.8% on D5). It then finds an order of pivots (v, w) in which column w has
-exactly one nonzero entry left, +-chi_0 in row v, among the rows not yet
-pivoted; with no such order it raises FreenessCheckFailed. So P is
+(Steinberg, "On a theorem of Pittie", 1975), with e_w = e^{lambda_w} and
+lambda_w = w(-sum of fundamental_j over the right descents j of w). Pair it
+against f_w = e^{-rho-lambda_w-w(rho)}: the entry P[v][w] = top(e_v f_w) is
+one read-off, induce(e^{lambda_v - rho - lambda_w - w(rho)}), so it is 0 or
+one signed irreducible +-chi_nu. On the diagonal the weights cancel, and
+-w(rho) = (w w0)(rho) is regular, so P[w][w] = sign(w w0) chi_0 =
+sign(w) (-1)^N chi_0, with N the number of positive roots; nothing is
+folded to know it. (The right descents of w w0 are those of w twisted by
+-w0 and complemented, so lambda_{w w0} = lambda_w + w(rho), and f_w is
+e^{-rho-lambda_{w w0}}.) An entry is nonzero exactly when lambda_v -
+lambda_w - w(rho) is regular, off every wall <., beta-check> = 0 of a
+positive root beta; steinberg_basis reads the zero entries off one column
+bitset per wall and value, and folds only the other off-diagonal entries
+(1.7% of the |W|^2 entries on D4). The diagonal pivots then need an order
+in which each column w has no nonzero entry off the diagonal among the rows
+not yet pivoted; with no such order it raises FreenessCheckFailed. So P is
 unitriangular up to that order and invertible over R(G), the e_v are
 R(G)-independent, and since Frac R(T) has degree |W| over Frac R(G), every u
 has coordinates c with c P = b, where b_w = top(u f_w) lies in R(G);
-c = b P^{-1} is then integral. This proves freeness for the convention
-recorded in formula_tag, on every construction.
+c = b P^{-1} is then integral. This proves freeness of the weights
+_steinberg_weights builds, on every construction. The proof holds for any
+family of weights with such an order, but f_w follows the weight on w, so
+the same monomials relabelled to other elements of W need not have one.
 
 The basis keeps the other nonzero entries of each pivot's column, all in
 rows pivoted earlier. decompose_over_invariants back-substitutes along the
@@ -48,7 +56,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .charring import CharElt, _add_scaled, _dominant_fold, _TermMap, is_weyl_invariant, monomial
 from .config import resolve_strict
-from .demazure import top
+from .demazure import _METHODS, top
 from .errors import FreenessCheckFailed, InternalInvariantError, NotInvariant
 from .rootdata import RootDatum, Weight, _Record, _walk_to_dominant
 from .weyl import WeylElt, orbit, weyl_group
@@ -111,6 +119,8 @@ def weyl_dimension(datum: RootDatum, weight: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _irreducible_cached(datum: RootDatum, lam: Weight, strict: bool, method: str) -> CharElt:
+    if method in _METHODS and lam == (0,) * datum.rank:
+        return CharElt.one(datum.rank)  # chi_0 = 1, with nothing to project
     return top(datum, monomial(lam), strict=strict, method=method)
 
 
@@ -187,7 +197,8 @@ class SteinbergBasis(_Record):
     """A monomial basis of R(T) as a free R(G)-module, indexed by W.
 
     pivots is the freeness certificate: triples (v, phi, sign) in elimination
-    order with top(e_v e^phi) = sign * chi_0 and top(e_x e^phi) = 0 for every
+    order, with e^phi = f_v = e^{-rho-lambda_v-v(rho)}, top(e_v e^phi) =
+    sign * chi_0 and sign = sign(v) (-1)^N, and top(e_x e^phi) = 0 for every
     x pivoted after v (module docstring). entries[n] keeps the other nonzero
     entries of the column of pivots[n], as triples (x, nu, s) with
     top(e_x e^phi) = s * chi_nu; every such x was pivoted before v. A basis
@@ -228,15 +239,12 @@ _FORMULA_TAG = "lambda_w = w(-sum over right descents j of fundamental_j)"
 
 
 def _steinberg_weights(datum: RootDatum) -> tuple[tuple[WeylElt, Weight], ...]:
+    # the right descents of w are the left descents of w^-1: the negative
+    # coordinates of its key w^-1(rho)
     group = weyl_group(datum)
-    rows: list[tuple[WeylElt, Weight]] = []
-    for w in group.elements:
-        descent_sum = [0] * datum.rank
-        for j in range(1, datum.rank + 1):
-            if group.right_descend(w, j).length < w.length:
-                descent_sum[j - 1] -= 1
-        rows.append((w, w.act(descent_sum)))
-    return tuple(rows)
+    return tuple(
+        (w, w.act([-1 if c < 0 else 0 for c in group.inverse(w).key])) for w in group.elements
+    )
 
 
 def _pairing_pivots(
@@ -246,16 +254,18 @@ def _pairing_pivots(
     nonzero entries of each pivot's column (SteinbergBasis), or
     FreenessCheckFailed when there is no such order.
 
-    Only the nonzero entries are folded (module docstring): walls[beta] maps
-    each value <lambda_{w w0}, beta-check> to the bitset of the columns w that
-    take it, and the zero entries of row v are the columns in the bitsets at
-    <lambda_v, beta-check>, over the positive roots beta.
+    The pivot of column w is its diagonal entry, sign(w) (-1)^N chi_0 with N
+    the number of positive roots (module docstring), so the order is a
+    topological sort: column w is ready once every other row with a nonzero
+    entry in it is pivoted. Only the nonzero off-diagonal entries are folded:
+    walls[beta] maps each value <lambda_w + w(rho), beta-check> to the bitset
+    of the columns w that take it, and the zero entries of row v are the
+    columns in the bitsets at <lambda_v, beta-check>, over the positive roots
+    beta.
     """
-    group = weyl_group(datum)
     rho = datum.weyl_vector
-    lam = dict(weights)
-    opposite = [lam[group.multiply(w, group.longest)] for w, _ in weights]
-    duals = [tuple(-r - c for r, c in zip(rho, mu)) for mu in opposite]
+    # f_w = e^{-rho - opposite[w]}
+    opposite = [tuple(map(add, lam, w.key)) for w, lam in weights]
     coroots = [root.coroot for root in datum.positive_roots]
     walls: list[dict[int, int]] = []
     for f in coroots:
@@ -266,15 +276,15 @@ def _pairing_pivots(
         walls.append(wall)
     every_column = (1 << len(weights)) - 1
     simple_columns, bound = datum._simple_columns, datum.num_positive_roots
-    # columns[k] holds the nonzero entries {row: (nu, s)} of column k, each
-    # the one term s * chi_nu of top(e_row f_k)
-    columns: list[dict[int, tuple[Weight, int]]] = [{} for _ in duals]
+    # columns[k] holds the nonzero off-diagonal entries {row: (nu, s)} of
+    # column k, each the one term s * chi_nu of top(e_row f_k)
+    columns: list[dict[int, tuple[Weight, int]]] = [{} for _ in weights]
     rows: list[list[int]] = [[] for _ in weights]
     for i, (_, lam_v) in enumerate(weights):
         singular = 0
         for f, wall in zip(coroots, walls):
             singular |= wall.get(sum(map(mul, f, lam_v)), 0)
-        regular = every_column & ~singular
+        regular = (every_column ^ 1 << i) & ~singular
         while regular:
             low = regular & -regular
             regular ^= low
@@ -283,32 +293,25 @@ def _pairing_pivots(
             sign = -1 if _walk_to_dominant(nu, simple_columns, bound) & 1 else 1
             columns[k][i] = (tuple(map(sub, nu, rho)), sign)
             rows[i].append(k)
-    chi_0 = (0,) * datum.rank
+    sign_w0 = -1 if datum.num_positive_roots & 1 else 1
+    # open_rows[k] counts the rows of column k's entries not yet pivoted;
+    # column k is ready at 0, and the loop also visits the columns it appends
     open_rows = [len(col) for col in columns]
-    resolved = [False] * len(weights)
     pivots: list[tuple[WeylElt, Weight, int]] = []
     entries: list[_Triples] = []
-    # a column joins the queue when one unresolved row is left in it; the
-    # loop also visits the columns it appends
-    queue = [k for k, n in enumerate(open_rows) if n == 1]
+    queue = [k for k, n in enumerate(open_rows) if not n]
     for k in queue:
-        if open_rows[k] != 1:
-            continue
-        (i,) = [i for i in columns[k] if not resolved[i]]
-        nu, sign = columns[k][i]
-        if nu != chi_0:
-            continue
-        resolved[i] = True
-        pivots.append((weights[i][0], duals[k], sign))
-        entries.append(tuple((weights[x][0], mu, s) for x, (mu, s) in columns[k].items() if x != i))
-        for k2 in rows[i]:
+        w = weights[k][0]
+        pivots.append((w, tuple(-r - c for r, c in zip(rho, opposite[k])), w.sign * sign_w0))
+        entries.append(tuple((weights[x][0], nu, s) for x, (nu, s) in columns[k].items()))
+        for k2 in rows[k]:
             open_rows[k2] -= 1
-            if open_rows[k2] == 1:
+            if not open_rows[k2]:
                 queue.append(k2)
     if len(pivots) != len(weights):
-        stuck = [w.word for (w, _), done in zip(weights, resolved) if not done]
+        stuck = [w.word for (w, _), n in zip(weights, open_rows) if n]
         raise FreenessCheckFailed(
-            f"pairing is not unitriangular: no unit pivot for w = {list(map(list, stuck))}"
+            f"pairing is not unitriangular: the columns of w = {list(map(list, stuck))} never clear"
         )
     return tuple(pivots), tuple(entries)
 
@@ -316,10 +319,10 @@ def _pairing_pivots(
 def steinberg_basis(datum: RootDatum) -> SteinbergBasis:
     """Construct the basis and certify that it is one.
 
-    Every construction pairs the basis against f_w = e^{-rho-lambda_{w w0}},
-    folds the nonzero entries of the pairing matrix and keeps them, and finds
-    a unitriangular pivot order, which proves freeness (module docstring);
-    FreenessCheckFailed when there is none.
+    Every construction pairs the basis against f_w = e^{-rho-lambda_w-w(rho)},
+    folds the nonzero off-diagonal entries of the pairing matrix and keeps
+    them, and orders the diagonal pivots unitriangularly, which proves
+    freeness (module docstring); FreenessCheckFailed when there is no order.
     """
     weights = _steinberg_weights(datum)
     pivots, entries = _pairing_pivots(datum, weights)

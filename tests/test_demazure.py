@@ -254,6 +254,18 @@ def test_top_method_validation():
         top(A1, ONE, method="fastest")
 
 
+def test_top_routes_that_disagree_raise_internal_error(monkeypatch):
+    datum = build_root_datum("A2")
+    u = monomial((1, 0))
+    real = demazure.alternating_quotient
+    monkeypatch.setattr(demazure, "alternating_quotient", lambda d, v: 2 * real(d, v))
+    assert top(datum, u, method="weyl") == 2 * top(datum, u, method="demazure")
+    with pytest.raises(InternalInvariantError, match=r"top routes disagree: demazure .* vs weyl "):
+        top(datum, u, method="both")
+    with pytest.raises(ValueError, match="unknown method 'fastest'"):
+        top(datum, u, method="fastest")
+
+
 def test_top_of_dominant_monomial_is_a_character():
     datum = build_root_datum("A2")
     ch = top(datum, monomial((1, 0)))

@@ -1,5 +1,6 @@
 """Invariant subring: characters, decompositions, module coordinates."""
 
+import hashlib
 import random
 from functools import reduce
 from operator import add
@@ -111,6 +112,19 @@ def test_character_methods_agree():
         assert irreducible_character(A2, lam, method="weyl") == irreducible_character(
             A2, lam, method="demazure"
         )
+
+
+def test_trivial_character_needs_no_projection(monkeypatch):
+    b2 = build_root_datum("B2")
+    repring._irreducible_cached.cache_clear()
+    calls = []
+    monkeypatch.setattr(repring, "top", lambda *args, **kw: calls.append(args) or top(*args, **kw))
+    for strict in (True, False):
+        for method in ("demazure", "weyl", "both"):
+            assert irreducible_character(b2, (0, 0), strict, method) == CharElt.one(2)
+    assert calls == []
+    with pytest.raises(ValueError, match="unknown method"):
+        irreducible_character(b2, (0, 0), method="kostant")
 
 
 def test_rank_one_tensor_decompositions():
@@ -336,16 +350,17 @@ def test_freeness_certificate_rejects_non_bases(monkeypatch):
         steinberg_basis(A2)
 
 
-def test_freeness_certificate_accepts_swapped_weights(monkeypatch):
-    # the same monomials on other group elements are still a basis
+def test_freeness_certificate_refuses_swapped_weights(monkeypatch):
+    # the same monomials on other group elements are still a basis, but the
+    # certificate no longer shows it: f_w = e^{-rho-lambda_w-w(rho)} follows
+    # the weight put on w, so the swapped rows s_1 and s_2 s_1 each meet
+    # chi_(1,1) in the other's column, a block of determinant chi_(1,1)^2 - 1,
+    # which is no unit in R(G)
     weights = [lam for _, lam in repring._steinberg_weights(A2)]
     weights[1], weights[4] = weights[4], weights[1]
     _patched_weights(monkeypatch, A2, weights)
-    basis = steinberg_basis(A2)
-    rng = random.Random("steinberg-swapped:A2")
-    for _ in range(3):
-        u = random_char_elt(rng, A2.rank, nterms=3, span=2)
-        assert reconstruct_over_invariants(A2, decompose_over_invariants(A2, u, basis), basis) == u
+    with pytest.raises(FreenessCheckFailed, match=r"w = \[\[1\], \[2, 1\]\]"):
+        steinberg_basis(A2)
 
 
 def test_steinberg_hand_coordinates_rank_one():
@@ -509,6 +524,44 @@ def test_rank_four_and_five_cartan_bases_build(cartan, order, nonzero):
     assert len(_stored_pairing(basis)) == nonzero
 
 
+# SHA-256 of the weights, pivots and entries of the nine named types, in the
+# order of STEINBERG_DIGEST_TYPES, with each element written as its word
+STEINBERG_DIGEST_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2"]
+STEINBERG_DIGEST = "4d4a33f485ace65287d6e7f96bc5ed889dd7bf76906e949cb3108ce3188a9f84"
+
+
+def test_steinberg_bases_match_their_golden_digest():
+    digest = hashlib.sha256()
+    for name in STEINBERG_DIGEST_TYPES:
+        basis = steinberg_basis(build_root_datum(name))
+        digest.update(repr([(w.word, lam) for w, lam in basis.weights]).encode())
+        digest.update(repr([(v.word, phi, s) for v, phi, s in basis.pivots]).encode())
+        digest.update(
+            repr([[(x.word, nu, s) for x, nu, s in col] for col in basis.entries]).encode()
+        )
+    assert digest.hexdigest() == STEINBERG_DIGEST
+
+
+@pytest.mark.parametrize(
+    "cartan", [*READ_OFF_GROUPS, F4_CARTAN, D5_CARTAN], ids=[*READ_OFF_GROUPS, "F4", "D5"]
+)
+def test_every_pivot_is_the_diagonal_entry(cartan):
+    # lambda_{w w0} = lambda_w + w(rho), and w w0 has the key -w(rho); so
+    # f_w = e^{-rho-lambda_w-w(rho)} and top(e_w f_w) = sign(w w0) chi_0
+    datum = build_root_datum(cartan)
+    basis = repring._default_basis(datum)
+    by_key = weyl_group(datum).by_key
+    rho = datum.weyl_vector
+    sign_w0 = (-1) ** datum.num_positive_roots
+    for w, lam in basis.items():
+        assert basis.weight_of(by_key[tuple(-c for c in w.key)]) == tuple(map(add, lam, w.key))
+    assert len(basis.pivots) == len(basis.weights)
+    for v, phi, sign in basis.pivots:
+        lam = basis.weight_of(v)
+        assert phi == tuple(-r - a - c for r, a, c in zip(rho, lam, v.key))
+        assert sign == v.sign * sign_w0
+
+
 def test_d4_pairing_folds_only_the_nonzero_entries(monkeypatch):
     d4 = build_root_datum("D4")
     weights = repring._steinberg_weights(d4)
@@ -516,7 +569,9 @@ def test_d4_pairing_folds_only_the_nonzero_entries(monkeypatch):
     walk = repring._walk_to_dominant
     monkeypatch.setattr(repring, "_walk_to_dominant", lambda *args: folds.append(args) or walk(*args))
     pivots, entries = repring._pairing_pivots(d4, weights)
-    assert len(folds) == 816 == len(pivots) + sum(map(len, entries))
+    # the diagonal is known without a fold (module docstring)
+    assert len(pivots) == 192
+    assert len(folds) == 624 == sum(map(len, entries))
 
 
 def test_coordinates_restrict_nothing(monkeypatch):
