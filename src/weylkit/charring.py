@@ -39,9 +39,12 @@ it meets, with no size check or fallback:
   that hull (on a segment [mu, s_j mu]), and so does every string
   representative (on [mu, s_beta mu]) and every quotient of an exact
   division (between two terms of its numerator's string). One packing
-  therefore serves a whole word of operators, or all the divisions of A(u)
-  by the Weyl denominator; a single divide_exact bounds only mu and
-  s_alpha mu.
+  therefore serves a whole word of operators; a single divide_exact bounds
+  only mu and s_alpha mu.
+- demazure.alternating_quotient takes the same bound over the highest
+  weights of its quotient, whose support lies in the hull of their
+  W-orbits, plus the largest |coordinate| of rho - w(rho) over W, so that
+  each coefficient it reads at mu + rho - w(rho) lies in the box too.
 
 >>> x = monomial((1,))
 >>> (x + x**-1) * (x - x**-1) == x**2 - x**-2

@@ -19,10 +19,9 @@ packing's radius is sum c_i M_i, with M_i the largest |mu_i| over the
 support of u and c_i the largest coefficient of alpha_i-check over the
 positive coroots. It bounds |<mu, beta-check>| for every positive root beta,
 so every coordinate in the convex hull of the W-orbit of the support, where
-every output, string representative and quotient of every later pass stays. So partial,
-partial_prime and alternating_quotient pack once, run a whole word or all
-|positive roots| divisions on ints, and unpack once; delta and delta_prime
-pack and unpack per call.
+every output, string representative and quotient of every later pass stays.
+So partial and partial_prime pack once, run a whole word on ints, and unpack
+once; delta and delta_prime pack and unpack per call.
 
 delta is idempotent with delta(1) = 1; delta_prime is idempotent with
 delta_prime(1) = 0; delta = delta_prime + s.
@@ -39,16 +38,20 @@ packing; hecke.to_basis runs it for top on operators.
 The operator for the longest element projects onto Weyl invariants and
 agrees with the quotient A(u)/d of the antisymmetrization by the Weyl
 denominator (the Weyl character formula route); `top` can compute either or
-both.
+both. alternating_quotient never builds A(u), |W| terms per folded weight:
+it finds the quotient's dominant coefficients from the top down
+(Racah-Klimyk) and writes each on its W-orbit, on a packing of the same
+radius taken over the quotient's highest weights and widened for its reads.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, mul, sub
 from typing import Callable, TypeVar
 
 from .config import resolve_strict
-from .charring import CharElt, _Packing, _string_quotient, antisymmetrize
+from .charring import CharElt, _dominant_fold, _Packing, _string_quotient
 from .errors import InternalInvariantError, WordMismatch
 from .rootdata import Root, RootDatum
 from .weyl import WeylElt, _longest, weyl_group
@@ -172,20 +175,84 @@ def partial_prime(datum: RootDatum, w: WeylElt, u: CharElt, strict: bool | None 
     return _divided(datum, u, 0, w, strict)
 
 
-def alternating_quotient(datum: RootDatum, u: CharElt) -> CharElt:
-    """A(u)/d: antisymmetrize, then strip one (1 - e^{-alpha}) per positive root.
+@lru_cache(maxsize=None)
+def _chamber(datum: RootDatum) -> tuple:
+    """What alternating_quotient reads from W: the images w(omega_i) of the
+    fundamental weights for every w, the pairs (rho - w(rho), sign w) for
+    every w != 1, the largest |coordinate| of any rho - w(rho), and the
+    coefficients of 2 rho-check, the column sums of the positive coroots."""
+    rho = datum.weyl_vector
+    group = weyl_group(datum)
+    fundamentals = [tuple(int(i == j) for j in range(datum.rank)) for i in range(datum.rank)]
+    images = tuple(tuple(w.act(omega) for omega in fundamentals) for w in group)
+    shifts = tuple((tuple(map(sub, rho, w.key)), w.sign) for w in group if w.length)
+    reach = max((abs(c) for shift, _ in shifts for c in shift), default=0)
+    height = tuple(map(sum, zip(*(root.coroot for root in datum.positive_roots))))
+    return images, shifts, reach, height
 
-    The factors are pairwise coprime, so peeling them one at a time is exact
-    at every step; a NotDivisible here would mean a bug. Every quotient lies
-    on the strings of its numerator, so in the hull that bounds the packing
-    of A(u).
+
+def alternating_quotient(datum: RootDatum, u: CharElt) -> CharElt:
+    """A(u)/d, divided in the dominant chamber (Racah-Klimyk; Humphreys,
+    Introduction to Lie Algebras and Representation Theory, section 24).
+
+    The fold of e^rho u (charring._dominant_fold) gives the coefficient c_lam
+    of e^lam in e^rho A(u) at each regular dominant lam, and the quotient is
+    q = sum c_lam chi_{lam-rho}: W-invariant, so fixed by its dominant
+    coefficients, which are found one weight at a time.
+
+    - Recursion: q d = A(u), and e^rho d = sum of sign(w) e^{w(rho)}, so the
+      coefficient at mu + rho, for dominant mu, reads
+      q[mu] = c_{mu+rho} - sum over w != 1 of sign(w) q[mu + rho - w(rho)].
+      rho - w(rho) is a nonzero sum of positive roots, so every weight read
+      lies strictly above mu, and so does its dominant representative.
+    - Candidates: the tops mu0 = lam - rho, closed under mu -> mu - beta over
+      the positive roots beta, keeping dominant weights. Every dominant
+      weight below a dominant mu0 is reached this way (Stembridge, "The
+      partial order of dominant weights", 1998), so the candidates hold the
+      dominant support of q, and a weight never written is 0.
+    - Order: decreasing <mu, 2 rho-check>. The functional is 2 on every
+      simple root, so every candidate above mu comes first; q[mu] is written
+      on the whole W-orbit of mu, and each read finds its value.
+    - Packing: q lies in the hull of the W-orbits of the tops, which the
+      radius _Packing.around(tops, _coroot_bound) holds (charring module
+      docstring); every read mu + rho - w(rho) adds rho - w(rho), so the
+      radius adds its largest |coordinate| and no read aliases. Packing is
+      linear, so w(mu) packs to sum mu_i key(w(omega_i)).
     """
-    q = antisymmetrize(datum, u)
-    packing = _packing(datum, q)
-    terms = packing.pack(q._terms)
-    for root in datum.positive_roots:
-        terms = _string_quotient(terms, packing, root)
-    return CharElt._raw(packing.unpack(terms))
+    rho = datum.weyl_vector
+    tops = {tuple(map(sub, lam, rho)): c for lam, c in _dominant_fold(datum, u).items()}
+    if not tops:
+        return CharElt.zero()
+    images, shifts, reach, height = _chamber(datum)
+    lowering = [root.weight_coords for root in datum.positive_roots]
+    candidates = set(tops)
+    frontier = list(tops)
+    while frontier:
+        found = []
+        for mu in frontier:
+            for beta in lowering:
+                nu = tuple(map(sub, mu, beta))
+                if nu not in candidates and min(nu) >= 0:
+                    candidates.add(nu)
+                    found.append(nu)
+        frontier = found
+    packing = _Packing(datum.rank, _Packing.around(tops, _coroot_bound(datum)).radius + reach)
+    # column i: the keys of w(omega_i) over every w
+    orbit_columns = [[packing.key(image) for image in column] for column in zip(*images)]
+    odd = [packing.key(shift) for shift, sign in shifts if sign < 0]
+    even = [packing.key(shift) for shift, sign in shifts if sign > 0]
+    q: dict[int, int] = {}
+    get = q.get
+    for mu in sorted(candidates, key=lambda mu: sum(map(mul, mu, height)), reverse=True):
+        k = packing.key(mu)
+        v = tops.get(mu, 0) + sum([get(k + d, 0) for d in odd]) - sum([get(k + d, 0) for d in even])
+        if v:
+            keys = [0] * len(images)
+            for m, column in zip(mu, orbit_columns):
+                if m:
+                    keys = list(map(add, keys, [m * key for key in column]))
+            q.update(dict.fromkeys(keys, v))
+    return CharElt._raw(packing.unpack(q))
 
 
 def top(

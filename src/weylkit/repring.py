@@ -131,8 +131,12 @@ def irreducible_character(
     method: str = "demazure",
 ) -> CharElt:
     """Character with highest weight `weight` (dominant case); for other
-    weights the rho-shifted antisymmetry yields 0 or a signed character."""
-    return _irreducible_cached(datum, tuple(weight), resolve_strict(strict), method)
+    weights the rho-shifted antisymmetry yields 0 or a signed character. A
+    weight whose length is not the rank raises ValueError."""
+    lam = tuple(weight)
+    if len(lam) != datum.rank:
+        raise ValueError(f"weight {lam} has length {len(lam)}, but the rank is {datum.rank}")
+    return _irreducible_cached(datum, lam, resolve_strict(strict), method)
 
 
 def decompose_into_irreducibles(

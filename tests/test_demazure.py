@@ -1,13 +1,22 @@
 """Divided-difference operators: worked values, laws, routes."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weylkit import demazure
-from weylkit.charring import CharElt, divide_exact_general, monomial, weyl_act, weyl_act_simple
+from weylkit import charring, demazure
+from weylkit.charring import (
+    CharElt,
+    antisymmetrize,
+    divide_exact,
+    divide_exact_general,
+    monomial,
+    weyl_act,
+    weyl_act_simple,
+)
 from weylkit.demazure import (
     alternating_quotient,
     delta,
@@ -247,6 +256,73 @@ def test_top_routes_agree():
             via_quotient = top(datum, u, method="weyl")
             assert via_word == via_quotient
             assert top(datum, u, method="both") == via_word
+    # a project-sized element: the 81 weights of the D4 box [-1, 1]^4
+    d4 = DATA["D4"]
+    rng = random.Random("routes:D4")
+    u = CharElt({mu: rng.choice([-3, -2, -1, 1, 2, 3]) for mu in product(range(-1, 2), repeat=4)})
+    assert len(u) == 81
+    assert top(d4, u, method="both") == top(d4, u, method="weyl") != CharElt.zero()
+
+
+def quotient_reference(datum, u):
+    """A(u)/d the long way: antisymmetrize, then divide by (1 - e^{-beta})
+    for every positive root beta."""
+    q = antisymmetrize(datum, u)
+    for root in datum.positive_roots:
+        q = divide_exact(q, root)
+    return q
+
+
+F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+D5 = [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1], [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]]
+A1_A1 = [[2, 0], [0, 2]]
+A2_B2 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -2, 2]]
+
+
+@pytest.mark.parametrize(
+    "spec", [*NAMED_TYPES, A1_A1, A2_B2, F4, D5], ids=[*NAMED_TYPES, "A1xA1", "A2xB2", "F4", "D5"]
+)
+def test_alternating_quotient_matches_the_division_by_every_positive_root(spec):
+    datum = build_root_datum(spec)
+    rank = datum.rank
+    rng = random.Random(f"quotient:{rank}:{datum.num_positive_roots}")
+    # every weight has a coordinate -1, so every rho-shift lies on a wall
+    singular = CharElt(
+        {tuple(-1 if i == j else rng.randint(-3, 3) for i in range(rank)): j + 1 for j in range(rank)}
+    )
+    assert quotient_reference(datum, singular) == alternating_quotient(datum, singular) == CharElt.zero()
+    cases = [CharElt.zero(), monomial((-2,) * rank, 3), monomial((-1,) * rank) + monomial((0,) * rank)]
+    group = weyl_group(datum)
+    if len(group) < 1000:
+        cases += [random_char_elt(rng, rank, nterms=6, span=2) for _ in range(8)]
+    else:
+        # F4 and D5: e^{w(nu + rho) - rho} projects to sign(w) chi_nu, so
+        # small nu and random w give negative weights with small quotients
+        rho = datum.weyl_vector
+        small = [nu for nu in product(range(2), repeat=rank) if weyl_dimension(datum, nu) <= 60]
+        for _ in range(2):
+            terms = {}
+            for nu in rng.sample(small, 2):
+                x = rng.choice(group.elements).act([n + r for n, r in zip(nu, rho)])
+                terms[tuple(a - r for a, r in zip(x, rho))] = rng.randint(1, 4)
+            cases.append(CharElt(terms))
+    for u in cases:
+        assert alternating_quotient(datum, u) == quotient_reference(datum, u)
+
+
+def test_weyl_route_divides_in_the_dominant_chamber(monkeypatch):
+    b3 = DATA["B3"]
+    u = random_char_elt(random.Random("chamber"), 3, nterms=20, span=3)
+    expected = top(b3, u, method="demazure")
+    assert expected != CharElt.zero()
+
+    def refuse(*args):
+        raise AssertionError("the Weyl route antisymmetrized or divided along strings")
+
+    monkeypatch.setattr(charring, "antisymmetrize", refuse)
+    monkeypatch.setattr(charring, "_string_quotient", refuse)
+    monkeypatch.setattr(demazure, "_string_quotient", refuse)
+    assert top(b3, u, method="weyl") == expected
 
 
 def test_top_method_validation():

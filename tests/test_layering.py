@@ -72,3 +72,5 @@ def test_cli_import_loads_no_introspection_modules():
     loaded = set(proc.stdout.split())
     assert "weylkit.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
+    # nor heapq: the Weyl route of top sorts its dominant weights instead
+    assert "heapq" not in loaded

@@ -114,6 +114,14 @@ def test_character_methods_agree():
         )
 
 
+@pytest.mark.parametrize("method", ["demazure", "weyl", "both"])
+def test_character_of_a_wrong_rank_weight_raises(method):
+    b2 = build_root_datum("B2")
+    for weight in [(), (0,), (1,), (0, 0, 0), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="rank is 2"):
+            irreducible_character(b2, weight, method=method)
+
+
 def test_trivial_character_needs_no_projection(monkeypatch):
     b2 = build_root_datum("B2")
     repring._irreducible_cached.cache_clear()
