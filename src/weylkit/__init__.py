@@ -8,16 +8,7 @@ particular the Cartan-matrix column convention) and the CLI reference.
 
 import gc
 
-from .charring import (
-    CharElt,
-    antisymmetrize,
-    divide_exact,
-    divide_exact_general,
-    monomial,
-    weyl_act,
-    weyl_act_simple,
-    weyl_denominator,
-)
+from .charring import CharElt, monomial, weyl_act_simple
 from .config import resolve_strict, set_strict_default, strict_default
 from .covers import CoverDatum, build_cover, decompose_cover, pullback, reconstruct_cover
 from .demazure import alternating_quotient, delta, delta_prime, partial, partial_prime, top
@@ -76,13 +67,8 @@ __all__ = [
     "weyl_group",
     # character ring
     "CharElt",
-    "antisymmetrize",
-    "divide_exact",
-    "divide_exact_general",
     "monomial",
-    "weyl_act",
     "weyl_act_simple",
-    "weyl_denominator",
     # divided differences
     "alternating_quotient",
     "delta",

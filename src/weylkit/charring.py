@@ -9,14 +9,14 @@ serialization lists them ascending. That container, _TermMap, is shared
 with repring.IrredDecomp, an element of R(G) keyed by highest weights.
 
 Sums keep "zero coefficients are never stored" in one place, _add_scaled,
-which adds into one dict in place: construction, + and -, long division,
-and every sum over many term maps in repring, covers and hecke. Three hot
+which adds into one dict in place: construction, + and -, and every sum
+over many term maps in repring, covers and hecke. Three hot
 loops keep their own inline updates, since a call per term slows them
 measurably: the packed product (CharElt.__mul__), the chamber fold
 (_dominant_fold) and the string kernel (_string_quotient).
 
-Products and the alpha-string kernel behind divide_exact and the divided
-differences (_string_quotient) run on packed weights: a _Packing of radius
+Products and the alpha-string kernel of the divided differences
+(_string_quotient) run on packed weights: a _Packing of radius
 B holds every weight whose coordinates lie in [-B, B], and with R = 2B + 1
 it maps mu to the int sum of mu_i * R^i, whose balanced base-R digits in
 [-B, B] are the coordinates. Packing is linear, so the key of mu + nu is
@@ -37,10 +37,9 @@ it meets, with no size check or fallback:
   which at a vertex w mu is +-<mu, gamma-check> for a positive coroot
   gamma-check, so |nu_i| <= B. Every output of delta_j and delta'_j lies in
   that hull (on a segment [mu, s_j mu]), and so does every string
-  representative (on [mu, s_beta mu]) and every quotient of an exact
-  division (between two terms of its numerator's string). One packing
-  therefore serves a whole word of operators; a single divide_exact bounds
-  only mu and s_alpha mu.
+  representative (on [mu, s_j mu]) and every quotient (between two terms
+  of its numerator's string). One packing therefore serves a whole word of
+  operators.
 - demazure.alternating_quotient takes the same bound over the highest
   weights of its quotient, whose support lies in the hull of their
   W-orbits, plus the largest |coordinate| of rho - w(rho) over W, so that
@@ -53,24 +52,17 @@ True
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NotDivisible
 from .rootdata import Root, RootDatum, Weight, _walk_to_dominant
-from .weyl import WeylElt, weyl_group
 
 __all__ = [
     "CharElt",
     "monomial",
-    "weyl_act",
     "weyl_act_simple",
     "is_weyl_invariant",
-    "divide_exact",
-    "divide_exact_general",
-    "weyl_denominator",
-    "antisymmetrize",
 ]
 
 
@@ -264,22 +256,12 @@ class CharElt(_TermMap):
                 base = base * base
         return result  # type: ignore[return-value]
 
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "CharElt":
-        return cls((tuple(t["w"]), t["c"]) for t in payload["terms"])
-
 
 def monomial(weight: Sequence[int], coeff: int = 1) -> CharElt:
     """The element coeff * e^weight."""
     if coeff == 0:
         return CharElt.zero()
     return CharElt._raw({tuple(int(c) for c in weight): int(coeff)})
-
-
-def weyl_act(w: WeylElt, u: CharElt) -> CharElt:
-    """w(e^mu) = e^{w mu}, extended additively; a ring automorphism."""
-    act = w.act
-    return CharElt._raw({act(mu): c for mu, c in u._terms.items()})
 
 
 def weyl_act_simple(datum: RootDatum, j: int, u: CharElt) -> CharElt:
@@ -348,8 +330,8 @@ class _Packing:
     >>> packing = _Packing(2, 3)  # R = 7
     >>> packing.key((-2, 3))  # -2 + 3 * 7
     19
-    >>> packing.weight(19)
-    (-2, 3)
+    >>> packing.unpack({19: 1})
+    {(-2, 3): 1}
     >>> packing.key((-2, 3)) + packing.key((1, -1)) == packing.key((-1, 2))
     True
     """
@@ -372,11 +354,6 @@ class _Packing:
 
     def key(self, weight: Sequence[int]) -> int:
         return sum(map(mul, weight, self.places))
-
-    def weight(self, key: int) -> Weight:
-        key += self.offset
-        r, b = self.radix, self.radius
-        return tuple([key // p % r - b for p in self.places])
 
     def pack(self, terms: Mapping[Weight, int]) -> dict[int, int]:
         places = self.places
@@ -406,25 +383,22 @@ def _pairings(keys: Iterable[int], packing: _Packing, coroot: Sequence[int]) -> 
     return total
 
 
-def _string_quotient(
-    terms: Mapping[int, int], packing: _Packing, root: Root, shift: int | None = None
-) -> dict[int, int]:
-    """One pass over the alpha-strings of packed terms: divide by
-    (1 - e^{-alpha}), after forming a divided-difference numerator when shift
-    is given. Every weight met must lie in the packing's box (module
+def _string_quotient(terms: Mapping[int, int], packing: _Packing, root: Root, shift: int) -> dict[int, int]:
+    """One pass over the alpha-strings of packed terms: the divided
+    difference delta (shift 1) or delta' (shift 0), its numerator divided by
+    (1 - e^{-alpha}). Every weight met must lie in the packing's box (module
     docstring).
 
     A term e^mu sits on the string through rep = mu - k alpha at position
     k = <mu, alpha-check> // 2, so t0 = <rep, alpha-check> is 0 or 1 and s_alpha
     sends position p to -p - t0. With q_p the coefficients of u on one string,
     shift 1 gives the numerator of delta, u - e^{-alpha} s_alpha(u), and shift 0
-    that of delta', u - s_alpha(u): v_p = q_p - q_{-p-t0-shift}. Without a
-    shift the numerator is u itself. (1 - e^{-alpha}) acts on a string by
-    (v_p) -> (v_p - v_{p+1}), so the quotient is the top-down cumulative sum,
-    and the string divides exactly iff its numerator sums to zero. Without a
-    shift a residue raises NotDivisible. A divided-difference numerator
-    always sums to zero: p -> -p - m maps the range [lo, hi] onto itself, so
-    its two sums cancel, and that branch has no residue to check.
+    that of delta', u - s_alpha(u): v_p = q_p - q_{-p-t0-shift}.
+    (1 - e^{-alpha}) acts on a string by (v_p) -> (v_p - v_{p+1}), so the
+    quotient is the top-down cumulative sum, and the string divides exactly
+    iff its numerator sums to zero. It always does: p -> -p - m maps the
+    range [lo, hi] onto itself, so its two sums cancel, and there is no
+    residue to check.
     """
     step = packing.key(root.weight_coords)
     strings: dict[int, dict[int, int]] = {}
@@ -439,19 +413,6 @@ def _string_quotient(
         else:
             line[k] = c
     out: dict[int, int] = {}
-    if shift is None:
-        for rep, line in strings.items():
-            get = line.get
-            kmin = min(line)
-            running = 0
-            for p in range(max(line), kmin, -1):
-                running += get(p, 0)
-                if running:
-                    out[rep + p * step] = running
-            residue = running + line[kmin]
-            if residue:
-                raise NotDivisible(f"coset through {packing.weight(rep)} has residue {residue}")
-        return out
     for (rep, line), t0 in zip(strings.items(), parities):
         get = line.get
         m = t0 + shift
@@ -463,75 +424,6 @@ def _string_quotient(
             if running:
                 out[rep + p * step] = running
     return out
-
-
-def divide_exact(u: CharElt, root: Root) -> CharElt:
-    """Exact division by (1 - e^{-alpha}); raises NotDivisible otherwise.
-
-    Terms are grouped into alpha-strings, the cosets of Z*alpha (the pairing
-    with alpha-check separates positions inside a string, so ties are
-    impossible). On the string rep + k*alpha the factor acts by
-    (q_k) -> (q_k - q_{k+1}), so the quotient is the top-down cumulative sum;
-    the string divides exactly iff its coefficients sum to zero, which makes
-    failure detection deterministic. This is _string_quotient without a
-    numerator step, on a packing whose box holds every mu and s_alpha(mu):
-    each rep lies between them, and each quotient term between two terms of
-    u on its string.
-    """
-    # s_alpha(mu) = mu - <mu, alpha-check> alpha has |s_alpha(mu)_i| at most
-    # M_i + |alpha_i| * sum |f_k| M_k, with f the coroot functional
-    largest = max(map(abs, root.weight_coords), default=0)
-    packing = _Packing.around(u._terms, [1 + largest * abs(g) for g in root.coroot])
-    return CharElt._raw(packing.unpack(_string_quotient(packing.pack(u._terms), packing, root)))
-
-
-def divide_exact_general(numerator: CharElt, divisor: CharElt) -> CharElt:
-    """Exact division by an arbitrary nonzero element, or NotDivisible.
-
-    Long division on the lexicographically leading terms. Support bounds of a
-    true quotient follow from additivity of componentwise extremes under
-    multiplication, so any generated term outside that box proves
-    indivisibility; this keeps termination unconditional.
-    """
-    if not divisor:
-        raise ZeroDivisionError("division by the zero element")
-    if not numerator:
-        return CharElt.zero()
-    rank = len(next(iter(divisor.items()))[0])
-    n_sup = numerator.support()
-    d_sup = divisor.support()
-    lo = tuple(
-        min(m[i] for m in n_sup) - min(m[i] for m in d_sup) for i in range(rank)
-    )
-    hi = tuple(
-        max(m[i] for m in n_sup) - max(m[i] for m in d_sup) for i in range(rank)
-    )
-    lead_d = max(divisor._terms)
-    cd = divisor._terms[lead_d]
-    rem = dict(numerator._terms)
-    quot: dict[Weight, int] = {}
-    while rem:
-        lead_r = max(rem)
-        cr = rem[lead_r]
-        if cr % cd:
-            raise NotDivisible("leading coefficient does not divide")
-        shift = tuple(a - b for a, b in zip(lead_r, lead_d))
-        if any(s < l or s > h for s, l, h in zip(shift, lo, hi)):
-            raise NotDivisible("quotient support escaped its bound")
-        q = cr // cd
-        quot[shift] = q
-        _add_scaled(rem, ((tuple(map(add, shift, mu)), c) for mu, c in divisor._terms.items()), -q)
-    return CharElt._raw(quot)
-
-
-@lru_cache(maxsize=None)
-def weyl_denominator(datum: RootDatum) -> CharElt:
-    """d = prod over positive roots of (1 - e^{-alpha})."""
-    result = CharElt.one(datum.rank)
-    for root in datum.positive_roots:
-        factor = CharElt.one(datum.rank) - monomial(tuple(-c for c in root.weight_coords))
-        result = result * factor
-    return result
 
 
 def _dominant_fold(datum: RootDatum, u: CharElt) -> dict[Weight, int]:
@@ -560,22 +452,3 @@ def _dominant_fold(datum: RootDatum, u: CharElt) -> dict[Weight, int]:
                 del folded[key]
     return folded
 
-
-def antisymmetrize(datum: RootDatum, u: CharElt) -> CharElt:
-    """A(u) = sum over w of sign(w) e^{-rho} w(e^{rho} u).
-
-    A(u) is alternating in mu + rho, so the terms are first folded into the
-    dominant chamber (_dominant_fold): w(mu + rho) = lambda contributes
-    sign(w) c at lambda, and a singular lambda contributes nothing. Only the
-    folded sum goes over W; the regular lambda have trivial stabilizers and
-    lie in distinct orbits, so no two images meet. A(1) equals the Weyl
-    denominator, and e^{rho} A(u) changes sign under every simple reflection.
-    """
-    rho = datum.weyl_vector
-    folded = _dominant_fold(datum, u)
-    out: dict[Weight, int] = {}
-    for w in weyl_group(datum):
-        s = w.sign
-        for lam, c in folded.items():
-            out[tuple(map(sub, w.act(lam), rho))] = s * c
-    return CharElt._raw(out)

@@ -40,7 +40,7 @@ class SafetyBoundExceeded(WeylkitError):
 
 
 class NotDivisible(WeylkitError):
-    """Exact division has a nonzero remainder."""
+    """A negative power of an element that is not a unit monomial +-e^mu."""
 
 
 class WordMismatch(InternalInvariantError):

@@ -29,7 +29,6 @@ from .weyl import WeylElt, weyl_group
 __all__ = [
     "HeckeOp",
     "OpExpr",
-    "apply",
     "to_basis",
     "in_augmentation_ideal",
     "is_ideal_invariant",
@@ -169,10 +168,6 @@ class OpExpr(_Record):
 
     def __str__(self) -> str:
         return "*".join(str(a) for a in self.atoms) if self.atoms else "id"
-
-
-def apply(datum: RootDatum, op: "HeckeOp | OpExpr", u: CharElt, strict: bool | None = None) -> CharElt:
-    return op.apply(datum, u, strict=strict)
 
 
 def _sum_by_element(terms: Iterable[tuple[WeylElt, CharElt]]) -> HeckeOp:

@@ -102,8 +102,9 @@ class IrredDecomp(_TermMap):
 
 def weyl_dimension(datum: RootDatum, weight: Sequence[int]) -> int:
     """Dimension of the irreducible with dominant highest weight, by the
-    product over positive roots of <lambda+rho, a-check>/<rho, a-check>."""
-    lam = tuple(weight)
+    product over positive roots of <lambda+rho, a-check>/<rho, a-check>. A
+    weight whose length is not the rank raises ValueError."""
+    lam = datum._checked_weight(weight)
     if not datum.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     shifted = tuple(c + r for c, r in zip(lam, datum.weyl_vector))
@@ -133,10 +134,7 @@ def irreducible_character(
     """Character with highest weight `weight` (dominant case); for other
     weights the rho-shifted antisymmetry yields 0 or a signed character. A
     weight whose length is not the rank raises ValueError."""
-    lam = tuple(weight)
-    if len(lam) != datum.rank:
-        raise ValueError(f"weight {lam} has length {len(lam)}, but the rank is {datum.rank}")
-    return _irreducible_cached(datum, lam, resolve_strict(strict), method)
+    return _irreducible_cached(datum, datum._checked_weight(weight), resolve_strict(strict), method)
 
 
 def decompose_into_irreducibles(
@@ -189,8 +187,9 @@ def _dimension_sum(datum: RootDatum, decomp: IrredDecomp) -> int:
 
 
 def orbit_sum(datum: RootDatum, weight: Sequence[int]) -> CharElt:
-    """Sum of e^nu over the Weyl orbit of the weight, each with coefficient 1."""
-    return CharElt._raw({nu: 1 for nu in orbit(datum, tuple(weight))})
+    """Sum of e^nu over the Weyl orbit of the weight, each with coefficient 1;
+    ValueError for a weight whose length is not the rank, as in orbit."""
+    return CharElt._raw({nu: 1 for nu in orbit(datum, weight)})
 
 
 # triples (w, weight, sign): pivots (v, phi, sign) or entries (x, nu, s)

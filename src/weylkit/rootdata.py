@@ -169,6 +169,13 @@ class RootDatum(_Record):
         if not 1 <= j <= self.rank:
             raise IndexError(f"simple root index {j} out of range 1..{self.rank}")
 
+    def _checked_weight(self, weight: Sequence[int]) -> Weight:
+        """The weight as a tuple; ValueError unless its length is the rank."""
+        lam = tuple(weight)
+        if len(lam) != self.rank:
+            raise ValueError(f"weight {lam} has length {len(lam)}, but the rank is {self.rank}")
+        return lam
+
     def reflect_simple(self, j: int, weight: Sequence[int]) -> Weight:
         """s_j(lambda), by s_j(lambda)_i = lambda_i - lambda_j * A[i][j]."""
         self._check_index(j)

@@ -13,19 +13,10 @@ import sys
 from time import perf_counter
 from typing import Callable, TextIO
 
-from .charring import (
-    CharElt,
-    antisymmetrize,
-    divide_exact,
-    divide_exact_general,
-    monomial,
-    weyl_act,
-    weyl_act_simple,
-    weyl_denominator,
-)
-from .demazure import delta, delta_prime, partial, top
+from .charring import CharElt, monomial, weyl_act_simple
+from .demazure import alternating_quotient, delta, delta_prime, partial, partial_prime, top
 from .errors import NotDivisible, WeylkitError
-from .hecke import OpExpr, apply as hecke_apply, in_augmentation_ideal, is_ideal_invariant, is_weyl_invariant, to_basis
+from .hecke import OpExpr, in_augmentation_ideal, is_ideal_invariant, is_weyl_invariant, to_basis
 from .repring import (
     decompose_into_irreducibles,
     decompose_over_invariants,
@@ -120,21 +111,19 @@ def _suite_char_ring(datum: RootDatum, rng: random.Random) -> int:
         _check((u * v) * w == u * (v * w), "(u v) w == u (v w)")
         _check(u - u == CharElt.zero(), "u - u == 0")
         _check(parse_char_expression(str(u), rank) == u, "parse(str(u)) == u")
-        _check(CharElt.from_json(u.to_json()) == u, "from_json(to_json(u)) == u")
         checks += 1
-    alpha = datum.positive_roots[rng.randrange(len(datum.positive_roots))]
-    factor = CharElt.one(rank) - monomial(tuple(-c for c in alpha.weight_coords))
+    j = rng.randint(1, rank)
+    factor = CharElt.one(rank) - monomial(tuple(-c for c in datum.simple_root(j).weight_coords))
     for _ in range(10):
         u = random_char_elt(rng, rank)
-        _check(divide_exact(u * factor, alpha) == u, "divide_exact(u (1 - e^-a), a) == u")
-        _check(divide_exact_general(u * factor, factor) == u, "divide_exact_general(u f, f) == u")
+        _check(delta_prime(datum, j, u) * factor == u - weyl_act_simple(datum, j, u), "delta'_j(u) (1 - e^-a_j) == u - s_j(u)")
         checks += 1
     try:
-        divide_exact(CharElt.one(rank), datum.positive_roots[0])
+        (2 * CharElt.one(rank)) ** -1
         raise AssertionError("expected NotDivisible")
     except NotDivisible:
         checks += 1
-    _check(antisymmetrize(datum, CharElt.one(rank)) == weyl_denominator(datum), "antisymmetrize(1) == weyl_denominator")
+    _check(alternating_quotient(datum, CharElt.one(rank)) == CharElt.one(rank), "A(1)/d == 1")
     checks += 1
     return checks
 
@@ -168,8 +157,6 @@ def _suite_demazure(datum: RootDatum, rng: random.Random) -> int:
         rho = datum.weyl_vector
         erho = monomial(rho)
         erho_inv = monomial(tuple(-c for c in rho))
-        from .demazure import partial_prime
-
         _check(partial_prime(datum, w, u) == erho * partial(datum, w, erho_inv * u), "partial'_w(u) == e^rho partial_w(e^-rho u)")
         checks += 1
     return checks
@@ -204,7 +191,7 @@ def _suite_hecke(datum: RootDatum, rng: random.Random) -> int:
         op = to_basis(datum, expr, strict=False)
         for _ in range(2):
             u = random_char_elt(rng, rank, nterms=3, span=2)
-            _check(hecke_apply(datum, op, u, strict=False) == expr.apply(datum, u, strict=False), "to_basis(expr) acts as expr")
+            _check(op.apply(datum, u, strict=False) == expr.apply(datum, u, strict=False), "to_basis(expr) acts as expr")
             checks += 1
     return checks
 

@@ -200,8 +200,9 @@ def weyl_group(datum: RootDatum) -> WeylGroup:
 
 
 def orbit(datum: RootDatum, weight: Sequence[int]) -> tuple[Weight, ...]:
-    """The Weyl orbit of a weight, sorted lexicographically."""
-    return _orbit_cached(datum, tuple(weight))
+    """The Weyl orbit of a weight, sorted lexicographically. A weight whose
+    length is not the rank raises ValueError."""
+    return _orbit_cached(datum, datum._checked_weight(weight))
 
 
 @lru_cache(maxsize=65536)

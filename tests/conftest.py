@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -11,6 +14,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("weylkit")
+
+# pytest finds the package in src through pyproject's pythonpath; the CLI
+# subprocesses that some tests start find it through PYTHONPATH
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(autouse=True)

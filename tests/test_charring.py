@@ -1,27 +1,14 @@
 """Exact Laurent arithmetic in the character ring."""
 
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weylkit.charring import (
-    CharElt,
-    _dominant_fold,
-    antisymmetrize,
-    divide_exact,
-    divide_exact_general,
-    is_weyl_invariant,
-    monomial,
-    weyl_act,
-    weyl_act_simple,
-    weyl_denominator,
-)
+from charring_reference import act, divide_exact_general
+from weylkit.charring import CharElt, _dominant_fold, is_weyl_invariant, monomial, weyl_act_simple
 from weylkit.errors import NotDivisible
 from weylkit.repring import irreducible_character, orbit_sum
 from weylkit.rootdata import NAMED_TYPES, build_root_datum
-from weylkit.selftest import random_char_elt
 from weylkit.weyl import weyl_group
 
 DATA = {name: build_root_datum(name) for name in NAMED_TYPES}
@@ -146,7 +133,7 @@ def test_str_frozen_forms():
 @given(char_elts(2))
 def test_json_round_trip(u):
     payload = u.to_json()
-    assert CharElt.from_json(payload) == u
+    assert CharElt((tuple(t["w"]), t["c"]) for t in payload["terms"]) == u
     ws = [tuple(t["w"]) for t in payload["terms"]]
     assert ws == sorted(ws)  # ascending canonical order
     assert all(t["c"] != 0 for t in payload["terms"])
@@ -158,11 +145,11 @@ def test_weyl_act_is_ring_automorphism():
     u = monomial((1, 0)) + 2 * monomial((0, 1))
     v = monomial((1, -2)) - monomial((0, 0))
     for w in group:
-        assert weyl_act(w, u * v) == weyl_act(w, u) * weyl_act(w, v)
-        assert weyl_act(w, u + v) == weyl_act(w, u) + weyl_act(w, v)
-    # simple-reflection shortcut agrees with the matrix action
+        assert act(w, u * v) == act(w, u) * act(w, v)
+        assert act(w, u + v) == act(w, u) + act(w, v)
+    # simple-reflection shortcut agrees with the action of the group element
     for j in (1, 2):
-        assert weyl_act_simple(datum, j, u) == weyl_act(group.simple(j), u)
+        assert weyl_act_simple(datum, j, u) == act(group.simple(j), u)
 
 
 def test_simple_reflection_index_is_checked_once_also_on_zero():
@@ -233,44 +220,6 @@ def test_is_weyl_invariant_counts_the_unmirrored_side():
     assert is_weyl_invariant(A1, u) == invariance_reference(A1, u) == (False, (1, image))
 
 
-def test_divide_exact_round_trip():
-    datum = build_root_datum("A2")
-    for root in datum.positive_roots:
-        factor = CharElt.one(2) - monomial(tuple(-c for c in root.weight_coords))
-        u = monomial((2, -1)) - 3 * monomial((0, 1)) + monomial((-2, -2))
-        assert divide_exact(u * factor, root) == u
-    assert divide_exact(CharElt.zero(), datum.positive_roots[0]) == CharElt.zero()
-
-
-@pytest.mark.parametrize("name", NAMED_TYPES)
-def test_divide_exact_round_trips_on_every_positive_root(name):
-    datum = build_root_datum(name)
-    rng = random.Random(f"divide:{name}")
-    one = CharElt.one(datum.rank)
-    for root in datum.positive_roots:
-        factor = one - monomial(tuple(-c for c in root.weight_coords))
-        for _ in range(3):
-            u = random_char_elt(rng, datum.rank, nterms=6, span=3)
-            assert divide_exact(u * factor, root) == u
-
-
-@pytest.mark.parametrize("name", [n for n in NAMED_TYPES if n != "A1"])
-def test_divide_exact_rejects_a_non_simple_root(name):
-    # 1 - e^{-alpha_1} is divisible by its own factor only
-    datum = build_root_datum(name)
-    u = CharElt.one(datum.rank) - monomial(tuple(-c for c in datum.simple_root(1).weight_coords))
-    assert divide_exact(u, datum.simple_root(1)) == CharElt.one(datum.rank)
-    for root in datum.positive_roots[datum.rank:]:
-        with pytest.raises(NotDivisible):
-            divide_exact(u, root)
-
-
-def test_divide_exact_failure():
-    datum = build_root_datum("A1")
-    with pytest.raises(NotDivisible):
-        divide_exact(CharElt.one(1), datum.positive_roots[0])
-
-
 def test_divide_exact_general():
     x = monomial((1,))
     one = CharElt.one(1)
@@ -288,66 +237,6 @@ def test_divide_exact_general_round_trip(u, d):
     if not d:
         return
     assert divide_exact_general(u * d, d) == u
-
-
-def test_weyl_denominator_a1():
-    datum = build_root_datum("A1")
-    assert weyl_denominator(datum) == CharElt.one(1) - monomial((-2,))
-
-
-def test_antisymmetrize_unit_gives_denominator():
-    for name in ("A1", "A2", "B2", "G2"):
-        datum = build_root_datum(name)
-        assert antisymmetrize(datum, CharElt.one(datum.rank)) == weyl_denominator(datum)
-
-
-def test_antisymmetrized_elements_alternate():
-    # e^rho * A(u) changes sign under every simple reflection
-    datum = build_root_datum("B2")
-    rho = monomial(datum.weyl_vector)
-    for u in [CharElt.one(2), monomial((1, 0)), monomial((2, 1)) - monomial((0, 1))]:
-        skew = rho * antisymmetrize(datum, u)
-        for j in (1, 2):
-            assert weyl_act_simple(datum, j, skew) == -skew
-
-
-def test_antisymmetrize_kills_singular_inputs():
-    # a rho-shift lying on a wall antisymmetrizes to zero
-    datum = build_root_datum("A1")
-    assert antisymmetrize(datum, monomial((-1,))) == CharElt.zero()
-
-
-def antisymmetrize_reference(datum, u):
-    # the defining sum over W, term by term
-    rho = monomial(datum.weyl_vector)
-    rho_inv = monomial(tuple(-c for c in datum.weyl_vector))
-    out = CharElt.zero()
-    for w in weyl_group(datum):
-        out = out + w.sign * (rho_inv * weyl_act(w, rho * u))
-    return out
-
-
-@pytest.mark.parametrize("name", NAMED_TYPES)
-def test_antisymmetrize_matches_the_sum_over_w(name):
-    datum = build_root_datum(name)
-    rng = random.Random(f"antisymmetrize:{name}")
-    rho = datum.weyl_vector
-    wall = (0,) + rho[1:]  # dominant and singular
-    shifted = [
-        (0,) * datum.rank,  # mu = -rho
-        wall,
-        datum.reflect_simple(datum.rank, wall),  # singular, not dominant
-        datum.reflect_simple(1, rho),  # regular, folds onto rho with sign -1
-    ]
-    special = CharElt.zero()
-    for i, nu in enumerate(shifted):
-        special = special + monomial(tuple(a - r for a, r in zip(nu, rho)), i + 1)
-    for _ in range(4):
-        u = random_char_elt(rng, datum.rank, nterms=8, span=3) + special
-        assert antisymmetrize(datum, u) == antisymmetrize_reference(datum, u)
-
-
-HUGE = 10**40
 
 
 def dominant_fold_reference(datum, u):
@@ -401,53 +290,3 @@ def fold_cases(draw):
 def test_dominant_fold_matches_the_reflect_simple_walk(case):
     datum, u = case
     assert CharElt(_dominant_fold(datum, u)) == dominant_fold_reference(datum, u)
-
-
-@st.composite
-def division_cases(draw):
-    """A positive root beta of one of the nine types, and two small elements
-    moved by one far weight (coordinates 0 or +-10^40): a quotient, and an
-    element that is a multiple of 1 - e^{-beta} plus a remainder, which may
-    be zero or cancel against it."""
-    datum = DATA[draw(st.sampled_from(NAMED_TYPES))]
-    root = draw(st.sampled_from(datum.positive_roots))
-    far = monomial(draw(st.tuples(*[st.sampled_from([0, HUGE, -HUGE, HUGE + 1])] * datum.rank)))
-    small = st.tuples(*[st.integers(-3, 3)] * datum.rank)
-    quotient, nearby, rest = (
-        CharElt(draw(st.dictionaries(small, st.integers(-2, 2), max_size=size))) for size in (5, 4, 2)
-    )
-    factor = CharElt.one(datum.rank) - monomial(tuple(-c for c in root.weight_coords))
-    return root, far * quotient, far * (nearby * factor + rest)
-
-
-@given(division_cases())
-def test_divide_exact_matches_long_division(case):
-    root, quotient, other = case
-    factor = CharElt.one(len(root.coroot)) - monomial(tuple(-c for c in root.weight_coords))
-    multiple = quotient * factor
-    assert divide_exact(multiple, root) == quotient == divide_exact_general(multiple, factor)
-    # long division stops within the spread of the support, which is small
-    try:
-        expected = divide_exact_general(other, factor)
-    except NotDivisible:
-        with pytest.raises(NotDivisible):
-            divide_exact(other, root)
-    else:
-        assert divide_exact(other, root) == expected
-
-
-@pytest.mark.parametrize(
-    "name,index,u,message",
-    [
-        ("A1", 0, monomial((1,)), "coset through (1,) has residue 1"),
-        ("B2", 2, 3 * monomial((-3, 2)) + monomial((1, -5)), "coset through (-1, 2) has residue 3"),
-        ("G2", 5, monomial((-7, 4), -2) + monomial((HUGE, -HUGE)), "coset through (-7, 4) has residue -2"),
-        ("D4", 3, monomial((0, -2, 5, 1)) - monomial((0, -2, 5, 0)), "coset through (0, -2, 5, 1) has residue 1"),
-        # the representative (0, 10) + 5 * (3, -2) lies outside the box of the support
-        ("G2", 1, monomial((0, 10)), "coset through (15, 0) has residue 1"),
-    ],
-)
-def test_not_divisible_names_the_string(name, index, u, message):
-    with pytest.raises(NotDivisible) as err:
-        divide_exact(u, DATA[name].positive_roots[index])
-    assert str(err.value) == message

@@ -14,7 +14,6 @@ from weylkit.demazure import delta_prime, partial, top
 from weylkit.hecke import (
     HeckeOp,
     OpExpr,
-    apply,
     in_augmentation_ideal,
     is_ideal_invariant,
     is_weyl_invariant,
@@ -100,7 +99,7 @@ def test_to_basis_round_trips(name):
         op = to_basis(datum, expr)
         for _ in range(3):
             u = random_char_elt(rng, datum.rank, nterms=3, span=2)
-            assert apply(datum, op, u) == expr.apply(datum, u)
+            assert op.apply(datum, u) == expr.apply(datum, u)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "B3", "D4"])

@@ -66,6 +66,9 @@ def test_dimension_that_fails_to_divide_is_an_internal_error():
         weyl_vector = (2,)
         positive_roots = ("a",)
 
+        def _checked_weight(self, weight):
+            return tuple(weight)
+
         def is_dominant(self, weight):
             return True
 
@@ -87,6 +90,13 @@ def test_dimension_known_values():
 def test_dimension_requires_dominance():
     with pytest.raises(ValueError):
         weyl_dimension(A2, (-1, 0))
+
+
+def test_dimension_of_a_wrong_rank_weight_raises():
+    b2 = build_root_datum("B2")
+    for weight in [(), (1,), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="rank is 2"):
+            weyl_dimension(b2, weight)
 
 
 def test_character_matches_dimension():
@@ -262,6 +272,13 @@ def test_orbit_sum_properties():
     assert all(c == 1 for _, c in u.items())
     dec = decompose_into_irreducibles(datum, u)
     assert restrict(datum, dec) == u
+
+
+def test_orbit_sum_of_a_wrong_rank_weight_raises():
+    b2 = build_root_datum("B2")
+    for weight in [(), (1,), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="rank is 2"):
+            orbit_sum(b2, weight)
 
 
 def test_irred_decomp_container():

@@ -151,6 +151,13 @@ def test_orbit_frozen_a2():
     assert orbit(datum, (0, 0)) == ((0, 0),)
 
 
+def test_orbit_of_a_wrong_rank_weight_raises():
+    b2 = build_root_datum("B2")
+    for weight in [(), (1,), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="rank is 2"):
+            orbit(b2, weight)
+
+
 def test_orbit_of_regular_weight_has_group_size():
     for name in ("A1", "A2", "B2", "G2"):
         datum = build_root_datum(name)
